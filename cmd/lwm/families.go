@@ -1,10 +1,9 @@
 // Family mode: embed, detect, and verify accept -family {sched|tmwm|
-// gcolor} and then drive the family's protocol — in-process through the
-// same internal/family registry the daemon dispatches on, or remotely
-// with the family field on every envelope. Both paths shape and print
-// through the same helpers below, so local and remote runs are
-// byte-identical on stdout for every family, exactly as they are for the
-// scheduling family's dedicated paths.
+// gcolor} (default sched) and then drive the family's protocol —
+// in-process through the same internal/family registry the daemon
+// dispatches on, or remotely with the family field on every envelope.
+// Both paths shape and print through the same helpers below, so local
+// and remote runs are byte-identical on stdout for every family.
 package main
 
 import (
@@ -55,7 +54,7 @@ func familyFlag(fs *flag.FlagSet) *string {
 // user actually set, leaving the rest zero for the family's Normalize to
 // default — the flag defaults (n=2, τ=20, …) are the scheduling
 // family's and must not leak into other families.
-func markParamsFrom(fs *flag.FlagSet, n, tau, k *int, eps *float64, budget, workers *int) lwmapi.MarkParams {
+func markParamsFrom(fs *flag.FlagSet, n, tau, k *int, eps *float64, budget *int) lwmapi.MarkParams {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	var p lwmapi.MarkParams
@@ -74,10 +73,17 @@ func markParamsFrom(fs *flag.FlagSet, n, tau, k *int, eps *float64, budget, work
 	if set["budget"] {
 		p.Budget = *budget
 	}
-	if workers != nil && set["workers"] {
-		p.Workers = *workers
-	}
 	return p
+}
+
+// familyLabel is fam as wire envelopes and record files carry it: empty
+// for sched, so those stay byte-identical to what releases before the
+// family registry sent and wrote.
+func familyLabel(fam string) string {
+	if fam == lwmapi.FamilySched {
+		return ""
+	}
+	return fam
 }
 
 // cmdFamilies lists the watermark families with their defaults and
@@ -131,10 +137,10 @@ func readDesignText(in, ref string) (string, error) {
 	return string(data), nil
 }
 
-// familyEmbed runs one non-scheduling embed, locally through the
-// protocol registry or against a daemon, and prints/writes the shared
-// report: marked design to out, marked solution to solPath, detection
-// records (family-labeled) to recPath.
+// familyEmbed runs one embed, locally through the protocol registry or
+// against a daemon, and prints/writes the shared report: marked design
+// to out, marked solution to solPath, detection records (family-labeled
+// unless sched) to recPath.
 func familyEmbed(ctx context.Context, fam, remote, in, ref, sig string, params lwmapi.MarkParams, out, solPath, recPath string) error {
 	var resp *lwmapi.EmbedResponse
 	if remote != "" {
@@ -147,7 +153,7 @@ func familyEmbed(ctx context.Context, fam, remote, in, ref, sig string, params l
 			return err
 		}
 		resp, err = c.Embed(ctx, lwmclient.EmbedRequest{
-			Family: fam, Design: design, DesignRef: ref, Signature: sig, MarkParams: params,
+			Family: familyLabel(fam), Design: design, DesignRef: ref, Signature: sig, MarkParams: params,
 		})
 		if err != nil {
 			return err
@@ -166,16 +172,16 @@ func familyEmbed(ctx context.Context, fam, remote, in, ref, sig string, params l
 		if err != nil {
 			return fmt.Errorf("design: %v", err)
 		}
-		workers := params.Workers
-		if workers <= 0 {
-			workers = 1
-		}
-		resp, err = proto.Embed(ctx, d, sig, params, workers)
+		resp, err = proto.Embed(ctx, d, sig, params, 1)
 		if err != nil {
 			return err
 		}
 	}
-	fmt.Printf("embedded %d watermarks, %d constraints\n", resp.Watermarks, resp.TemporalEdges)
+	constraints := "constraints"
+	if fam == lwmapi.FamilySched {
+		constraints = "temporal edges"
+	}
+	fmt.Printf("embedded %d watermarks, %d %s\n", resp.Watermarks, resp.TemporalEdges, constraints)
 	if out != "" {
 		if err := os.WriteFile(out, []byte(resp.MarkedDesign), 0o644); err != nil {
 			return err
@@ -187,7 +193,7 @@ func familyEmbed(ctx context.Context, fam, remote, in, ref, sig string, params l
 		}
 	}
 	if recPath != "" {
-		rf := recordFile{Signature: []byte(sig), Family: fam, Records: resp.Records}
+		rf := recordFile{Signature: []byte(sig), Family: familyLabel(fam), Records: resp.Records}
 		data, err := json.MarshalIndent(rf, "", "  ")
 		if err != nil {
 			return err
@@ -199,8 +205,8 @@ func familyEmbed(ctx context.Context, fam, remote, in, ref, sig string, params l
 	return nil
 }
 
-// printDetectOutcomes renders one suspect's outcome row exactly as the
-// scheduling detect paths do, returning the found count.
+// printDetectOutcomes renders one suspect's outcome row, returning the
+// found count.
 func printDetectOutcomes(outs []lwmapi.DetectOutcome) (int, error) {
 	found := 0
 	for i, out := range outs {
@@ -219,10 +225,11 @@ func printDetectOutcomes(outs []lwmapi.DetectOutcome) (int, error) {
 	return found, nil
 }
 
-// familyDetect runs one non-scheduling detect: the suspect design plus
-// its solution (the -schedule file: a template cover for tmwm, a
-// coloring for gcolor) scanned for the record file's watermarks. The
-// record file must be labeled with the same family.
+// familyDetect runs one detect: the suspect design plus its solution
+// (the -schedule file: a schedule for sched, a template cover for tmwm, a
+// coloring for gcolor) scanned for the record file's watermarks on up to
+// workers goroutines. The record file must be labeled with the same
+// family.
 func familyDetect(ctx context.Context, fam, remote, in, ref, solPath, recPath string, workers int) error {
 	data, err := os.ReadFile(recPath)
 	if err != nil {
@@ -233,7 +240,7 @@ func familyDetect(ctx context.Context, fam, remote, in, ref, solPath, recPath st
 		return err
 	}
 	if got := lwmapi.CanonicalFamily(rf.Family); got != fam {
-		return fmt.Errorf("record file is for family %q, not %q", got, fam)
+		return fmt.Errorf("record file is for family %q, not %q; pass -family %s", got, fam, got)
 	}
 	solText, err := os.ReadFile(solPath)
 	if err != nil {
@@ -250,7 +257,7 @@ func familyDetect(ctx context.Context, fam, remote, in, ref, solPath, recPath st
 			return err
 		}
 		res, err := c.Detect(ctx, lwmclient.DetectRequest{
-			Family:   fam,
+			Family:   familyLabel(fam),
 			Suspects: []lwmclient.Suspect{{Design: design, DesignRef: ref, Schedule: string(solText)}},
 			Records:  rf.Records,
 			Workers:  workers,
@@ -297,9 +304,9 @@ func familyDetect(ctx context.Context, fam, remote, in, ref, solPath, recPath st
 	return nil
 }
 
-// familyVerify adjudicates one non-scheduling ownership claim from the
-// claimed signature alone, printing the same claim report and honoring
-// the same exit-3-on-unverified contract as the scheduling paths.
+// familyVerify adjudicates one ownership claim from the claimed
+// signature alone, printing the claim report and exiting 3 when the
+// claim does not verify.
 func familyVerify(ctx context.Context, fam, remote, in, ref, solPath, sig string, params lwmapi.MarkParams) error {
 	solText, err := os.ReadFile(solPath)
 	if err != nil {
@@ -316,7 +323,7 @@ func familyVerify(ctx context.Context, fam, remote, in, ref, solPath, sig string
 			return err
 		}
 		resp, err = c.Verify(ctx, lwmclient.VerifyRequest{
-			Family: fam, Design: design, DesignRef: ref,
+			Family: familyLabel(fam), Design: design, DesignRef: ref,
 			Schedule: string(solText), Signature: sig, MarkParams: params,
 		})
 		if err != nil {
@@ -340,11 +347,7 @@ func familyVerify(ctx context.Context, fam, remote, in, ref, solPath, sig string
 		if err != nil {
 			return fmt.Errorf("schedule: %v", err)
 		}
-		workers := params.Workers
-		if workers <= 0 {
-			workers = 1
-		}
-		resp, err = proto.Verify(ctx, family.Suspect{Design: d, Solution: sol}, sig, params, workers)
+		resp, err = proto.Verify(ctx, family.Suspect{Design: d, Solution: sol}, sig, params)
 		if err != nil {
 			return err
 		}

@@ -52,7 +52,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -60,11 +59,8 @@ import (
 
 	"localwm/internal/cdfg"
 	"localwm/internal/designs"
-	"localwm/internal/engine"
 	"localwm/internal/obs"
-	"localwm/internal/prng"
 	"localwm/internal/sched"
-	"localwm/internal/schedwm"
 	"localwm/internal/tmatch"
 	"localwm/lwmapi"
 )
@@ -92,8 +88,6 @@ func main() {
 		err = cmdVerify(os.Args[2:])
 	case "synth":
 		err = cmdSynth(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "design":
 		err = cmdDesign(os.Args[2:])
 	case "families":
@@ -117,7 +111,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: lwm {gen|info|embed|schedule|detect|verify|synth|bench|design|families|job|robust|trace|prof|dot} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: lwm {gen|info|embed|schedule|detect|verify|synth|design|families|job|robust|trace|prof|dot} [flags]")
 }
 
 // traceCtx builds the context for a marking command. With -trace off it
@@ -238,7 +232,6 @@ func cmdVerify(args []string) error {
 	k := fs.Int("k", 4, "temporal edges per watermark K")
 	eps := fs.Float64("epsilon", 0.25, "laxity margin ε")
 	budget := fs.Int("budget", 0, "control-step budget (0: critical path + 10%)")
-	workers := fs.Int("workers", 1, "parallel re-derivation workers (verdict is identical for any value)")
 	remote := fs.String("remote", "", "lwmd daemon address (empty: verify in-process)")
 	apiKeyFlag(fs)
 	ref := fs.String("ref", "", "design registry reference in place of -in (remote only; see lwm design put)")
@@ -252,43 +245,8 @@ func cmdVerify(args []string) error {
 	}
 	ctx, finishTrace := traceCtx(*trace)
 	defer finishTrace()
-	if f := lwmapi.CanonicalFamily(*fam); f != lwmapi.FamilySched {
-		return familyVerify(ctx, f, *remote, *in, *ref, *schedPath, *sig,
-			markParamsFrom(fs, n, tau, k, eps, budget, workers))
-	}
-	if *remote != "" {
-		return remoteVerify(ctx, *remote, *in, *ref, *schedPath, *sig, *n, *tau, *k, *eps, *budget, *workers)
-	}
-	g, err := loadGraph(*in)
-	if err != nil {
-		return err
-	}
-	s, err := parseSchedule(g, *schedPath)
-	if err != nil {
-		return err
-	}
-	if *budget == 0 {
-		cp, err := g.CriticalPath()
-		if err != nil {
-			return err
-		}
-		*budget = cp + cp/10 + 1
-	}
-	observeGraph(ctx, g)
-	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget, Parallelism: *workers}
-	det, err := engine.VerifyOwnershipCtx(ctx, g, s, prng.Signature(*sig), cfg, *n, *workers)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("claim by %q: %d/%d re-derived constraints satisfied, Pc %v\n",
-		*sig, det.Best.Satisfied, det.Best.Total, det.Best.Pc)
-	if !det.Found {
-		fmt.Println("verdict: claim NOT verified")
-		flushTrace(ctx)
-		os.Exit(3)
-	}
-	fmt.Println("verdict: claim verified")
-	return nil
+	return familyVerify(ctx, lwmapi.CanonicalFamily(*fam), *remote, *in, *ref, *schedPath, *sig,
+		markParamsFrom(fs, n, tau, k, eps, budget))
 }
 
 func cmdDot(args []string) error {
@@ -441,7 +399,6 @@ func cmdEmbed(args []string) error {
 	k := fs.Int("k", 4, "temporal edges per watermark K")
 	eps := fs.Float64("epsilon", 0.25, "laxity margin ε")
 	budget := fs.Int("budget", 0, "control-step budget (0: critical path + 10%)")
-	workers := fs.Int("workers", 1, "parallel embedding workers (result is identical for any value)")
 	out := fs.String("out", "", "marked design output file")
 	solPath := fs.String("solution", "", "marked solution output file (tmwm: template cover; gcolor: coloring)")
 	recPath := fs.String("record", "", "detection record output file (JSON)")
@@ -456,62 +413,14 @@ func cmdEmbed(args []string) error {
 	if err := checkRefFlag(*ref, *remote); err != nil {
 		return err
 	}
-	ctx, finishTrace := traceCtx(*trace)
-	defer finishTrace()
-	if f := lwmapi.CanonicalFamily(*fam); f != lwmapi.FamilySched {
-		return familyEmbed(ctx, f, *remote, *in, *ref, *sig,
-			markParamsFrom(fs, n, tau, k, eps, budget, workers), *out, *solPath, *recPath)
-	}
-	if *solPath != "" {
+	f := lwmapi.CanonicalFamily(*fam)
+	if f == lwmapi.FamilySched && *solPath != "" {
 		return fmt.Errorf("-solution only applies to -family tmwm or gcolor (scheduling watermarks live in the marked design)")
 	}
-	if *remote != "" {
-		return remoteEmbed(ctx, *remote, *in, *ref, *sig, *n, *tau, *k, *eps, *budget, *workers, *out, *recPath)
-	}
-	g, err := loadGraph(*in)
-	if err != nil {
-		return err
-	}
-	if *budget == 0 {
-		cp, err := g.CriticalPath()
-		if err != nil {
-			return err
-		}
-		*budget = cp + cp/10 + 1
-	}
-	observeGraph(ctx, g)
-	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget, Parallelism: *workers}
-	wms, err := engine.EmbedManyCtx(ctx, g, prng.Signature(*sig), cfg, *n, *workers)
-	if err != nil {
-		return err
-	}
-	rf := recordFile{Signature: []byte(*sig)}
-	edges := 0
-	for _, wm := range wms {
-		rf.Records = append(rf.Records, lwmapi.FromSchedRecord(wm.Record()))
-		edges += len(wm.Edges)
-	}
-	fmt.Printf("embedded %d watermarks, %d temporal edges\n", len(wms), edges)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := cdfg.Write(f, g); err != nil {
-			return err
-		}
-	}
-	if *recPath != "" {
-		data, err := json.MarshalIndent(rf, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*recPath, data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
+	ctx, finishTrace := traceCtx(*trace)
+	defer finishTrace()
+	return familyEmbed(ctx, f, *remote, *in, *ref, *sig,
+		markParamsFrom(fs, n, tau, k, eps, budget), *out, *solPath, *recPath)
 }
 
 func cmdSchedule(args []string) error {
@@ -541,17 +450,6 @@ func cmdSchedule(args []string) error {
 	return sched.WriteSchedule(w, g, s)
 }
 
-// parseSchedule reads a schedule file in the text format shared with the
-// lwmd daemon (see sched.ParseSchedule).
-func parseSchedule(g *cdfg.Graph, path string) (*sched.Schedule, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return sched.ParseSchedule(g, f)
-}
-
 func cmdDetect(args []string) error {
 	fs := flag.NewFlagSet("detect", flag.ExitOnError)
 	in := fs.String("in", "", "suspect design file")
@@ -571,57 +469,5 @@ func cmdDetect(args []string) error {
 	}
 	ctx, finishTrace := traceCtx(*trace)
 	defer finishTrace()
-	if f := lwmapi.CanonicalFamily(*fam); f != lwmapi.FamilySched {
-		return familyDetect(ctx, f, *remote, *in, *ref, *schedPath, *recPath, *workers)
-	}
-	if *remote != "" {
-		return remoteDetect(ctx, *remote, *in, *ref, *schedPath, *recPath, *workers)
-	}
-	// The record file's family label is checked before the suspect parses:
-	// a family-labeled record file means the suspect artifacts are that
-	// family's formats, and "pass -family" beats a codec parse error.
-	data, err := os.ReadFile(*recPath)
-	if err != nil {
-		return err
-	}
-	var rf recordFile
-	if err := json.Unmarshal(data, &rf); err != nil {
-		return err
-	}
-	if fam := lwmapi.CanonicalFamily(rf.Family); fam != lwmapi.FamilySched {
-		return fmt.Errorf("record file is for family %q; pass -family %s", rf.Family, rf.Family)
-	}
-	g, err := loadGraph(*in)
-	if err != nil {
-		return err
-	}
-	s, err := parseSchedule(g, *schedPath)
-	if err != nil {
-		return err
-	}
-	observeGraph(ctx, g)
-	// All records scan on the pool; the report below walks the results in
-	// record order, so the output matches a sequential scan byte for byte.
-	batch := engine.DetectBatchCtx(ctx, []engine.Suspect{{Graph: g, Schedule: s}}, lwmapi.SchedRecords(rf.Records), *workers)
-	found := 0
-	for i := range rf.Records {
-		det, err := batch[0][i].Det, batch[0][i].Err
-		if err != nil {
-			return err
-		}
-		if det.Found {
-			found++
-			fmt.Printf("watermark %d: FOUND at root %s (%d constraints, Pc %v)\n",
-				i, g.Node(det.Matches[0].Root).Name, det.Best.Total, det.Best.Pc)
-		} else {
-			fmt.Printf("watermark %d: not found (best %d/%d)\n",
-				i, det.Best.Satisfied, det.Best.Total)
-		}
-	}
-	fmt.Printf("%d of %d watermarks detected\n", found, len(rf.Records))
-	if found == 0 {
-		flushTrace(ctx)
-		os.Exit(3)
-	}
-	return nil
+	return familyDetect(ctx, lwmapi.CanonicalFamily(*fam), *remote, *in, *ref, *schedPath, *recPath, *workers)
 }

@@ -9,19 +9,17 @@ import (
 
 	"localwm/internal/designs"
 	"localwm/internal/prng"
+	"localwm/internal/sched"
 	"localwm/internal/schedwm"
 	"localwm/lwmapi"
 )
 
+// TestParseScheduleRoundTrip reads the schedule text format that
+// `lwm schedule` writes and detect/verify -schedule files carry.
 func TestParseScheduleRoundTrip(t *testing.T) {
-	dir := t.TempDir()
 	g := designs.WaveletFilter()
-	path := filepath.Join(dir, "sched.txt")
 	content := "budget 20\nstep lo_m0 1\nstep lo_a1 3\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := parseSchedule(g, path)
+	s, err := sched.ParseSchedule(g, strings.NewReader(content))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,17 +32,12 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 }
 
 func TestParseScheduleErrors(t *testing.T) {
-	dir := t.TempDir()
 	g := designs.WaveletFilter()
 	for name, content := range map[string]string{
 		"unknown-node": "step nosuch 3\n",
 		"garbage":      "frobnicate\n",
 	} {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := parseSchedule(g, path); err == nil {
+		if _, err := sched.ParseSchedule(g, strings.NewReader(content)); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}

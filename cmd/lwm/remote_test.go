@@ -2,7 +2,7 @@ package main
 
 import (
 	"bytes"
-	"context"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"localwm/internal/server"
+	"localwm/lwmclient"
 )
 
 // TestRemoteModeMatchesLocal drives embed → detect → verify through a
@@ -65,22 +66,22 @@ func TestRemoteModeMatchesLocal(t *testing.T) {
 	}
 
 	detectArgs := []string{"-in", design, "-schedule", schedPath, "-record", localRec}
-	localDetect := captureStdout(t, func() error { return cmdDetect(detectArgs) })
-	remoteDetect := captureStdout(t, func() error {
+	detectLocal := captureStdout(t, func() error { return cmdDetect(detectArgs) })
+	detectRemote := captureStdout(t, func() error {
 		return cmdDetect(append(detectArgs, "-remote", ts.URL))
 	})
-	if localDetect != remoteDetect {
-		t.Fatalf("detect output diverged:\nlocal  %q\nremote %q", localDetect, remoteDetect)
+	if detectLocal != detectRemote {
+		t.Fatalf("detect output diverged:\nlocal  %q\nremote %q", detectLocal, detectRemote)
 	}
 
 	verifyArgs := []string{"-in", design, "-schedule", schedPath, "-sig", "remote-test",
 		"-n", "2", "-tau", "16", "-k", "3", "-epsilon", "0.4"}
-	localVerify := captureStdout(t, func() error { return cmdVerify(verifyArgs) })
-	remoteVerify := captureStdout(t, func() error {
+	verifyLocal := captureStdout(t, func() error { return cmdVerify(verifyArgs) })
+	verifyRemote := captureStdout(t, func() error {
 		return cmdVerify(append(verifyArgs, "-remote", ts.URL))
 	})
-	if localVerify != remoteVerify {
-		t.Fatalf("verify output diverged:\nlocal  %q\nremote %q", localVerify, remoteVerify)
+	if verifyLocal != verifyRemote {
+		t.Fatalf("verify output diverged:\nlocal  %q\nremote %q", verifyLocal, verifyRemote)
 	}
 }
 
@@ -194,7 +195,8 @@ func TestRemoteRefModeMatchesInline(t *testing.T) {
 }
 
 // TestRemoteModeSurfacesServiceErrors: a definite service rejection (bad
-// request) comes back as an error, not a retry loop.
+// request) comes back as an error, not a retry loop, and a failing local
+// embed reports the same text the daemon answers.
 func TestRemoteModeSurfacesServiceErrors(t *testing.T) {
 	srv := server.New(server.Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -206,8 +208,26 @@ func TestRemoteModeSurfacesServiceErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty signature is a 400 from the daemon.
-	err := remoteEmbed(context.Background(), ts.URL, design, "", "", 2, 16, 3, 0.4, 0, 1, "", "")
-	if err == nil {
+	if err := cmdEmbed([]string{"-in", design, "-remote", ts.URL}); err == nil {
 		t.Fatal("empty signature accepted")
+	}
+
+	// A budget below the critical path fails inside the protocol, locally
+	// and on the daemon alike, with the same protocol-prefixed text.
+	args := []string{"-in", design, "-sig", "owner", "-budget", "2"}
+	localErr := cmdEmbed(args)
+	if localErr == nil {
+		t.Fatal("local embed under an impossible budget succeeded")
+	}
+	remoteErr := cmdEmbed(append(args, "-remote", ts.URL))
+	var httpErr *lwmclient.HTTPError
+	if !errors.As(remoteErr, &httpErr) {
+		t.Fatalf("remote embed error %v is not a service answer", remoteErr)
+	}
+	if httpErr.Msg != localErr.Error() {
+		t.Fatalf("error text diverged:\nlocal  %q\nremote %q", localErr, httpErr.Msg)
+	}
+	if !strings.HasPrefix(localErr.Error(), "embedding: schedwm: ") {
+		t.Fatalf("local error lacks the protocol prefix: %q", localErr)
 	}
 }

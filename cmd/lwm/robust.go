@@ -95,8 +95,8 @@ func cmdRobust(args []string) error {
 		}
 		*budget = cp + cp/10 + 1
 	}
-	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget, Parallelism: *workers}
-	base, err := robust.Prepare(ctx, g, prng.Signature(*sig), cfg, *n, *workers)
+	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget}
+	base, err := robust.Prepare(ctx, g, prng.Signature(*sig), cfg, *n)
 	if err != nil {
 		return fmt.Errorf("robust: embedding: %v", err)
 	}
@@ -160,7 +160,7 @@ func remoteRobust(ctx context.Context, addr, in, ref, sig, seed string, battery 
 	if err != nil {
 		return err
 	}
-	design, err := designSource(in, ref)
+	design, err := readDesignText(in, ref)
 	if err != nil {
 		return err
 	}

@@ -176,7 +176,7 @@ func TestLifecycleAllFamilies(t *testing.T) {
 				}
 			}
 
-			ver, err := proto.Verify(ctx, sp, "alice", params, 1)
+			ver, err := proto.Verify(ctx, sp, "alice", params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +190,7 @@ func TestLifecycleAllFamilies(t *testing.T) {
 			// what quantifies that (10^-1.2 ≈ 6% here) — so the verdict
 			// alone is only asserted where it discriminates.
 			if fam != lwmapi.FamilyGcolor {
-				wrong, err := proto.Verify(ctx, sp, "mallory", params, 1)
+				wrong, err := proto.Verify(ctx, sp, "mallory", params)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -202,10 +202,11 @@ func TestLifecycleAllFamilies(t *testing.T) {
 	}
 }
 
-// TestWorkerCountByteIdentity: every protocol's embed, detect, and
-// verify answers are byte-identical (as server-encoded JSON) at any
-// worker count — the determinism contract the daemon's concurrency
-// settings rely on.
+// TestWorkerCountByteIdentity: every protocol's embed and detect answers
+// are byte-identical (as server-encoded JSON) at any worker count — the
+// determinism contract the daemon's concurrency settings rely on — and
+// verify, which takes no worker count, answers identically on every
+// pass.
 func TestWorkerCountByteIdentity(t *testing.T) {
 	ctx := context.Background()
 	encode := func(v any) string {
@@ -251,7 +252,7 @@ func TestWorkerCountByteIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				detects = append(detects, encode(det))
-				ver, err := proto.Verify(ctx, sp, "alice", params, workers)
+				ver, err := proto.Verify(ctx, sp, "alice", params)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,7 +265,7 @@ func TestWorkerCountByteIdentity(t *testing.T) {
 				t.Errorf("detect differs by worker count:\n%s\n%s", detects[0], detects[1])
 			}
 			if verifies[0] != verifies[1] {
-				t.Errorf("verify differs by worker count:\n%s\n%s", verifies[0], verifies[1])
+				t.Errorf("verify differs between passes:\n%s\n%s", verifies[0], verifies[1])
 			}
 		})
 	}

@@ -119,7 +119,7 @@ func (gcolorFamily) Detect(ctx context.Context, suspects []Suspect, records []lw
 	return resp, nil
 }
 
-func (gcolorFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.MarkParams, workers int) (*lwmapi.VerifyResponse, error) {
+func (gcolorFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.MarkParams) (*lwmapi.VerifyResponse, error) {
 	g := sp.Design.(*gcolorDesign).g
 	col := sp.Solution.(gcolor.Coloring)
 	// Re-derive the constraint pairs from the claimed signature instead

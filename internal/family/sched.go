@@ -94,9 +94,10 @@ func (schedFamily) ParseSolution(d Design, text string) (Solution, error) {
 }
 
 // SchedConfig builds the schedwm.Config for p against g, defaulting the
-// budget exactly like the CLI (critical path + 10% + 1). Exported for
-// the robustness campaign path, which re-embeds through the scheduling
-// engine directly.
+// budget to critical path + 10% + 1. Exported for the robustness campaign
+// path, which re-embeds through the scheduling engine directly. workers is
+// ignored; the parameter remains only because lwmbench/ compiles against
+// this signature.
 func SchedConfig(g *cdfg.Graph, p lwmapi.MarkParams, workers int) (schedwm.Config, error) {
 	budget := p.Budget
 	if budget == 0 {
@@ -108,7 +109,6 @@ func SchedConfig(g *cdfg.Graph, p lwmapi.MarkParams, workers int) (schedwm.Confi
 	}
 	cfg := schedwm.Config{
 		Tau: p.Tau, K: p.K, Epsilon: p.Epsilon, Budget: budget,
-		Parallelism: workers,
 	}
 	if _, err := cfg.Normalized(); err != nil {
 		return schedwm.Config{}, err
@@ -118,12 +118,12 @@ func SchedConfig(g *cdfg.Graph, p lwmapi.MarkParams, workers int) (schedwm.Confi
 
 func (schedFamily) Embed(ctx context.Context, d Design, sig string, p lwmapi.MarkParams, workers int) (*lwmapi.EmbedResponse, error) {
 	g := d.(*cdfgDesign).g
-	cfg, err := SchedConfig(g, p, workers)
+	cfg, err := SchedConfig(g, p, 1)
 	if err != nil {
 		return nil, err
 	}
 	ObserveGraph(ctx, g)
-	wms, err := engine.EmbedManyCtx(ctx, g, prng.Signature(sig), cfg, p.N, cfg.Parallelism)
+	wms, err := engine.EmbedManyCtx(ctx, g, prng.Signature(sig), cfg, p.N)
 	if err != nil {
 		return nil, fmt.Errorf("embedding: %v", err)
 	}
@@ -176,9 +176,9 @@ func (schedFamily) Detect(ctx context.Context, suspects []Suspect, records []lwm
 	return resp, nil
 }
 
-func (schedFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.MarkParams, workers int) (*lwmapi.VerifyResponse, error) {
+func (schedFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.MarkParams) (*lwmapi.VerifyResponse, error) {
 	g := sp.Design.(*cdfgDesign).g
-	cfg, err := SchedConfig(g, p, workers)
+	cfg, err := SchedConfig(g, p, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func (schedFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.
 		ObserveGraph(ctx, g)
 	}
 	det, err := engine.VerifyOwnershipCtx(ctx, g, sp.Solution.(*sched.Schedule),
-		prng.Signature(sig), cfg, p.N, cfg.Parallelism)
+		prng.Signature(sig), cfg, p.N)
 	if err != nil {
 		return nil, fmt.Errorf("verifying: %v", err)
 	}

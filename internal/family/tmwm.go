@@ -138,7 +138,7 @@ func (tmwmFamily) Detect(ctx context.Context, suspects []Suspect, records []lwma
 	return resp, nil
 }
 
-func (tmwmFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.MarkParams, workers int) (*lwmapi.VerifyResponse, error) {
+func (tmwmFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.MarkParams) (*lwmapi.VerifyResponse, error) {
 	g := sp.Design.(*cdfgDesign).g
 	cfg, err := tmwmConfig(g, p)
 	if err != nil {

@@ -102,8 +102,8 @@ func TestSpanTreeAndContext(t *testing.T) {
 func TestSumPrefix(t *testing.T) {
 	tr := NewTrace("t")
 	start := time.Now()
-	outer := tr.StartSpan(nil, "engine.embed")
-	tr.Record(outer, "engine.speculate", start, 5*time.Millisecond)
+	outer := tr.StartSpan(nil, "engine.detect_batch")
+	tr.Record(outer, "engine.detect[0][0]", start, 5*time.Millisecond)
 	tr.mu.Lock()
 	outer.end = outer.Start.Add(10 * time.Millisecond)
 	tr.mu.Unlock()

@@ -6,7 +6,7 @@
 // *Trace (the normal state when no caller asked for tracing) makes every
 // span operation a nil-check and nothing else: StartSpan returns the
 // context unchanged and a nil *Span whose methods are no-ops, so
-// instrumented hot paths — the engine's speculation loop, the oracle's
+// instrumented hot paths — the engine's detection fan-out, the oracle's
 // recompute path — stay allocation-free unless a trace is attached.
 //
 // The trace model is deliberately small: a Trace is a process-local,

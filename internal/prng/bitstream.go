@@ -62,15 +62,6 @@ func MustBitstream(sig Signature) *Bitstream {
 	return b
 }
 
-// Clone returns an independent bitstream that will emit exactly the bits
-// the original would emit next, without advancing the original. The
-// parallel embedding engine uses clones to pre-draw root-selection
-// sequences speculatively while keeping the master stream untouched until
-// results commit.
-func (b *Bitstream) Clone() *Bitstream {
-	return &Bitstream{c: b.c.Clone(), buf: b.buf, nbits: b.nbits, emitted: b.emitted}
-}
-
 // Bit returns the next pseudo-random bit.
 func (b *Bitstream) Bit() bool {
 	if b.nbits == 0 {

@@ -46,14 +46,6 @@ func (c *RC4) NextByte() byte {
 	return c.s[uint8(c.s[c.i]+c.s[c.j])]
 }
 
-// Clone returns an independent copy of the cipher state. Drawing from the
-// clone produces the same keystream the original would, without advancing
-// the original.
-func (c *RC4) Clone() *RC4 {
-	cp := *c
-	return &cp
-}
-
 // Read fills p with keystream bytes. It never fails; the error is present
 // to satisfy io.Reader.
 func (c *RC4) Read(p []byte) (int, error) {

@@ -184,10 +184,10 @@ type Baseline struct {
 // the fresh temporal edges, then strip them again for the shipped view.
 // The input graph is never mutated. cfg must carry an explicit positive
 // Budget (callers normalize params first).
-func Prepare(ctx context.Context, g *cdfg.Graph, sig prng.Signature, cfg schedwm.Config, n, workers int) (*Baseline, error) {
+func Prepare(ctx context.Context, g *cdfg.Graph, sig prng.Signature, cfg schedwm.Config, n int) (*Baseline, error) {
 	marked := g.Clone()
 	marked.ClearTemporalEdges()
-	wms, err := engine.EmbedManyCtx(ctx, marked, sig, cfg, n, workers)
+	wms, err := engine.EmbedManyCtx(ctx, marked, sig, cfg, n)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ func testBaseline(t *testing.T, appIdx, n int) *Baseline {
 		t.Fatal(err)
 	}
 	cfg := schedwm.Config{Tau: 20, K: 4, Epsilon: 0.25, Budget: cp + cp/10 + 1}
-	base, err := Prepare(context.Background(), g, prng.Signature("alice"), cfg, n, 1)
+	base, err := Prepare(context.Background(), g, prng.Signature("alice"), cfg, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,14 +202,7 @@ func VerifyOwnership(g *cdfg.Graph, s *sched.Schedule, sig prng.Signature,
 	if err != nil {
 		return nil, fmt.Errorf("schedwm: re-deriving constraints: %v", err)
 	}
-	return CheckConstraints(g, s, wms)
-}
-
-// CheckConstraints is the verification half of VerifyOwnership: it checks
-// the temporal constraints of re-derived watermarks against the suspect
-// schedule. Split out so the parallel engine can perform the re-derivation
-// itself (engine.EmbedMany on a clone) and still score identically.
-func CheckConstraints(g *cdfg.Graph, s *sched.Schedule, wms []*Watermark) (*Detection, error) {
+	// Check every re-derived temporal constraint against the schedule.
 	budget := s.Budget
 	if budget < s.Makespan() {
 		budget = s.Makespan()

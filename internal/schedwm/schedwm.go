@@ -83,23 +83,11 @@ type Config struct {
 	// Domain tunes the subtree walk (inclusion probability, max distance).
 	// Tau is copied into it.
 	Domain domain.Config
-	// Parallelism, when greater than 1, asks the top-level drivers
-	// (localwm.EmbedSchedulingWatermarks, cmd/lwm) to run embedding,
-	// detection, and ownership verification on the internal/engine worker
-	// pool with that many workers. Results are bit-identical to the
-	// sequential path for every value — the engine merges speculative
-	// results in signature-index order and replays conflicts sequentially —
-	// so the field never influences what gets embedded, only how fast.
-	// schedwm's own entry points ignore it.
-	Parallelism int
 }
 
 // Normalized returns the config with defaults applied (τ' from K, the
 // MaxTries fallback, Domain.Tau) after validating the parameter ranges.
-// The result is idempotent under further normalization. Callers that
-// coordinate with the speculation API (EmbedSpec, Spec.Valid) must pass
-// the normalized config everywhere so every stage sees the same derived
-// values.
+// The result is idempotent under further normalization.
 func (c Config) Normalized() (Config, error) { return c.withDefaults() }
 
 func (c Config) withDefaults() (Config, error) {
@@ -214,7 +202,7 @@ func EmbedMany(g *cdfg.Graph, sig prng.Signature, cfg Config, n int) ([]*Waterma
 	var out []*Watermark
 	var lastErr error
 	for idx := 0; idx < n; idx++ {
-		wm, err := embedOne(g, an, rootAt, sig, cfg, idx, nil)
+		wm, err := embedOne(g, an, rootAt, sig, cfg, idx)
 		if err != nil {
 			lastErr = err
 			continue
@@ -233,8 +221,7 @@ func EmbedMany(g *cdfg.Graph, sig prng.Signature, cfg Config, n int) ([]*Waterma
 // Analyses bundles the watermark-independent scheduling analyses embedding
 // consults: they depend on the nodes and the data/control edges only, never
 // on temporal (watermark) edges, so one Analyses serves every watermark of
-// an EmbedMany run — and every speculative re-run the parallel engine
-// performs against graph snapshots.
+// an EmbedMany run.
 type Analyses struct {
 	Budget  int            // control-step budget (resolved from cfg or critical path)
 	CPSteps int            // unit-step critical path
@@ -311,8 +298,7 @@ func Prepare(g *cdfg.Graph, cfg Config) (*Analyses, error) {
 
 // CommitEdges inserts the watermark's temporal edges into g — the mutation
 // embedding performs once a watermark is accepted — and verifies the graph
-// stayed acyclic. Exposed so the parallel engine can replay, in signature-
-// index order, exactly the insertions sequential embedding would make.
+// stayed acyclic.
 func CommitEdges(g *cdfg.Graph, wm *Watermark) error {
 	for _, e := range wm.Edges {
 		if err := g.AddEdge(e.From, e.To, cdfg.TemporalEdge); err != nil {
@@ -326,11 +312,10 @@ func CommitEdges(g *cdfg.Graph, wm *Watermark) error {
 }
 
 // embedOne places the idx-th local watermark. The root for each try comes
-// from rootAt — the live master stream in sequential embedding, a
-// precomputed pick sequence under speculation. The watermark is returned
-// without mutating g; the caller commits its edges (CommitEdges). A non-nil
-// trace records the accepted candidate pairs for later revalidation.
-func embedOne(g *cdfg.Graph, an *Analyses, rootAt func(try int) (cdfg.NodeID, error), sig prng.Signature, cfg Config, idx int, trace *specTrace) (*Watermark, error) {
+// from rootAt (the master stream, or the pinned cfg.Root). The watermark
+// is returned without mutating g; the caller commits its edges
+// (CommitEdges).
+func embedOne(g *cdfg.Graph, an *Analyses, rootAt func(try int) (cdfg.NodeID, error), sig prng.Signature, cfg Config, idx int) (*Watermark, error) {
 	// Weighted longest paths for the no-stretch test: an accepted edge
 	// n_i -> n_k (realized as a unit op between them) must not create a
 	// path longer than the design's weighted critical path, so the
@@ -358,9 +343,6 @@ func embedOne(g *cdfg.Graph, an *Analyses, rootAt func(try int) (cdfg.NodeID, er
 			lastErr = err
 			continue
 		}
-		if trace != nil {
-			trace.steps = trace.steps[:0] // failed tries accept nothing; keep only the winner's
-		}
 		wm, err := encode(g, d, ds, cfg, encodeEnv{
 			lax:          an.Lax,
 			laxityBound:  an.LaxityBound,
@@ -370,7 +352,7 @@ func embedOne(g *cdfg.Graph, an *Analyses, rootAt func(try int) (cdfg.NodeID, er
 			weight:       cfg.OpWeight,
 			stretchBound: an.StretchBound,
 			unitW:        an.UnitW,
-		}, trace)
+		})
 		if err != nil {
 			lastErr = err
 			continue
@@ -398,12 +380,7 @@ type encodeEnv struct {
 }
 
 // encode performs steps 2–9 of the Fig. 2 pseudocode on a selected domain.
-// A non-nil trace records, per edge-drawing step, the pending-prefix length
-// and every candidate pair that survived the filters — the exact set of
-// decisions the parallel engine must revalidate before committing a
-// speculative result (rejected pairs stay rejected when temporal edges are
-// added, so only accepted ones can diverge).
-func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env encodeEnv, trace *specTrace) (*Watermark, error) {
+func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env encodeEnv) (*Watermark, error) {
 	w := env.windows
 	// Step 2–4: T' = nodes of T that are computational, sufficiently
 	// off-critical, and lifetime-overlapping with some other such node.
@@ -494,13 +471,6 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 		}
 		if len(cands) == 0 {
 			continue // this n_i contributes no edge; K shrinks below target
-		}
-		if trace != nil {
-			st := specStep{pendingLen: len(wm.Edges)}
-			for _, nj := range cands {
-				st.pairs = append(st.pairs, [2]cdfg.NodeID{ni, nj})
-			}
-			trace.steps = append(trace.steps, st)
 		}
 		nk := cands[bs.Intn(len(cands))]
 		wm.Edges = append(wm.Edges, cdfg.Edge{From: ni, To: nk, Kind: cdfg.TemporalEdge})

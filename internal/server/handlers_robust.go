@@ -110,14 +110,14 @@ func (s *Server) runRobustReport(ctx context.Context, req *lwmapi.RobustnessRequ
 	// directly, so unwrap the cdfg (the robustFamily gate guarantees a
 	// scheduling design) and build its config the way the protocol does.
 	g, _ := family.CDFG(d)
-	cfg, err := family.SchedConfig(g, req.MarkParams, s.engineWorkers(req.Workers))
+	cfg, err := family.SchedConfig(g, req.MarkParams, 1)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
 	if !shared {
 		family.ObserveGraph(ctx, g)
 	}
-	base, err := robust.Prepare(ctx, g, prng.Signature(req.Signature), cfg, req.N, cfg.Parallelism)
+	base, err := robust.Prepare(ctx, g, prng.Signature(req.Signature), cfg, req.N)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, err
@@ -128,7 +128,7 @@ func (s *Server) runRobustReport(ctx context.Context, req *lwmapi.RobustnessRequ
 		Baseline: base,
 		Seed:     req.Seed,
 		Battery:  battery,
-		Workers:  cfg.Parallelism,
+		Workers:  s.engineWorkers(req.Workers),
 	})
 	if err != nil {
 		if ctx.Err() != nil {

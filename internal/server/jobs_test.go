@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"localwm/internal/chaos"
-	"localwm/internal/engine"
 	"localwm/internal/jobs"
 	"localwm/lwmapi"
 	"localwm/lwmclient"
@@ -33,15 +32,6 @@ func detectJobBody(t *testing.T, fx *fixture, idemKey string) ([]byte, lwmapi.De
 		t.Fatal(err)
 	}
 	return body, dreq
-}
-
-// detectReference computes the sequential CLI-path detect response,
-// encoded exactly as the server encodes — the byte-identity oracle.
-func detectReference(t *testing.T, fx *fixture) []byte {
-	t.Helper()
-	suspects := []engine.Suspect{{Graph: fx.graph, Schedule: fx.schedule}}
-	seq := engine.DetectBatch(suspects, lwmapi.SchedRecords(fx.records), 1)
-	return encodeLikeServer(t, buildDetectResponse(suspects, seq))
 }
 
 func getBody(t *testing.T, client *http.Client, url string) (*http.Response, []byte) {

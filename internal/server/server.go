@@ -96,9 +96,9 @@ type Config struct {
 	// QueueSize is each endpoint's pending-request capacity beyond the
 	// workers. Zero defaults to 64.
 	QueueSize int
-	// EngineWorkers is the default schedwm.Config.Parallelism handed to
-	// the engine for requests that don't pick their own worker count.
-	// Zero defaults to NumCPU.
+	// EngineWorkers is the default fan-out for batch work (detect
+	// batches, robustness campaigns) in requests that don't pick their
+	// own worker count. Zero defaults to NumCPU.
 	EngineWorkers int
 	// MaxEngineWorkers caps request-supplied worker counts so one client
 	// cannot demand an arbitrary fan-out. Zero defaults to 4×NumCPU.

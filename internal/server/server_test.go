@@ -14,7 +14,7 @@ import (
 
 	"localwm/internal/cdfg"
 	"localwm/internal/designs"
-	"localwm/internal/engine"
+	"localwm/internal/family"
 	"localwm/internal/sched"
 	"localwm/internal/schedwm"
 	"localwm/lwmapi"
@@ -27,8 +27,6 @@ type fixture struct {
 	designText   string
 	scheduleText string
 	records      []lwmapi.Record
-	graph        *cdfg.Graph
-	schedule     *sched.Schedule
 }
 
 func makeFixture(t *testing.T, sig string) *fixture {
@@ -60,17 +58,31 @@ func makeFixture(t *testing.T, sig string) *fixture {
 	for _, wm := range wms {
 		fx.records = append(fx.records, lwmapi.FromSchedRecord(wm.Record()))
 	}
-	// Re-parse exactly what the daemon will parse, for the sequential
-	// reference computation.
-	fx.graph, err = cdfg.Parse(strings.NewReader(fx.designText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fx.schedule, err = sched.ParseSchedule(fx.graph, strings.NewReader(fx.scheduleText))
-	if err != nil {
-		t.Fatal(err)
-	}
 	return fx
+}
+
+// detectReference computes the fixture's detect response through the
+// sched protocol with one worker, from exactly the texts the daemon
+// parses, and encodes it as the server does — the byte-identity oracle.
+func detectReference(t *testing.T, fx *fixture) []byte {
+	t.Helper()
+	proto, err := family.Lookup(lwmapi.FamilySched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := proto.ParseDesign(fx.designText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := proto.ParseSolution(d, fx.scheduleText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := proto.Detect(context.Background(), []family.Suspect{{Design: d, Solution: sol}}, fx.records, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeLikeServer(t, resp)
 }
 
 func postJSON(t *testing.T, client *http.Client, url string, body []byte) (*http.Response, []byte) {
@@ -119,11 +131,7 @@ func TestDaemonDetectConcurrentByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sequential reference: engine.DetectBatch with workers=1 is the loop
-	// the CLI runs, shaped through the same response builder and encoder.
-	suspects := []engine.Suspect{{Graph: fx.graph, Schedule: fx.schedule}}
-	seq := engine.DetectBatch(suspects, lwmapi.SchedRecords(fx.records), 1)
-	want := encodeLikeServer(t, buildDetectResponse(suspects, seq))
+	want := detectReference(t, fx)
 
 	const concurrent = 8
 	bodies := make([][]byte, concurrent)

@@ -120,12 +120,11 @@ func EmbedSchedulingWatermark(g *Graph, sig Signature, cfg SchedulingConfig) (*S
 	return schedwm.Embed(g, sig, cfg)
 }
 
-// EmbedSchedulingWatermarks embeds up to n independent local watermarks.
-// When cfg.Parallelism is greater than 1 the watermarks are speculated
-// concurrently on that many workers (internal/engine); the result is
-// bit-identical to the sequential embedding either way.
+// EmbedSchedulingWatermarks embeds up to n independent local watermarks,
+// one after another: each is judged against the temporal edges of the
+// ones before it.
 func EmbedSchedulingWatermarks(g *Graph, sig Signature, cfg SchedulingConfig, n int) ([]*SchedulingWatermark, error) {
-	return engine.EmbedMany(g, sig, cfg, n, cfg.Parallelism)
+	return schedwm.EmbedMany(g, sig, cfg, n)
 }
 
 // DetectSchedulingWatermark scans a suspect scheduled design for a
@@ -135,10 +134,10 @@ func DetectSchedulingWatermark(g *Graph, s *ScheduleResult, rec SchedulingRecord
 }
 
 // VerifySchedulingOwnership adjudicates an ownership claim by re-deriving
-// the constraints from the claimed signature. cfg.Parallelism > 1 runs the
-// re-derivation on the parallel engine with an identical verdict.
+// the constraints from the claimed signature on a clone of g and checking
+// them against the suspect schedule.
 func VerifySchedulingOwnership(g *Graph, s *ScheduleResult, sig Signature, cfg SchedulingConfig, n int) (*SchedulingDetection, error) {
-	return engine.VerifyOwnership(g, s, sig, cfg, n, cfg.Parallelism)
+	return schedwm.VerifyOwnership(g, s, sig, cfg, n)
 }
 
 // DetectSchedulingWatermarks checks many records against many suspect
@@ -196,8 +195,8 @@ type (
 	// serving port, DebugHandler() on a loopback-only port, and call
 	// Shutdown to drain gracefully.
 	Service = server.Server
-	// EngineCounters is a snapshot of the parallel engine's cumulative
-	// pool and speculation activity.
+	// EngineCounters is a snapshot of the engine's cumulative worker-pool
+	// activity.
 	EngineCounters = engine.Counters
 )
 

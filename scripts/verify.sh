@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 
 echo "== tier 1: build + tests =="
 go build ./...
+# lwmbench/ is its own module, so ./... skips it; build it explicitly so
+# an API change that breaks the benchmark fails here.
+(cd lwmbench && go build ./...)
 # -shuffle=on randomizes in-package test order so hidden inter-test
 # state dependencies surface here (the seed prints on failure).
 go test -shuffle=on ./...
