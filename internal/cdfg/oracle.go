@@ -1,7 +1,7 @@
 package cdfg
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,7 +91,10 @@ func weightFingerprint(w WeightFunc) string {
 		if !op.IsComputational() {
 			continue
 		}
-		fp = append(fp, []byte(fmt.Sprintf("%d:%d;", int(op), w(op)))...)
+		fp = strconv.AppendInt(fp, int64(op), 10)
+		fp = append(fp, ':')
+		fp = strconv.AppendInt(fp, int64(w(op)), 10)
+		fp = append(fp, ';')
 	}
 	return string(fp)
 }

@@ -130,6 +130,27 @@ func TestLevels(t *testing.T) {
 	}
 }
 
+// A data cycle inside the cone has no longest path; Levels must say so
+// rather than return partial levels.
+func TestLevelsDataCycle(t *testing.T) {
+	g := New(4)
+	in := g.AddNode("in", OpInput)
+	a := g.AddNode("a", OpAdd)
+	b := g.AddNode("b", OpAdd)
+	g.MustAddEdge(in, a, DataEdge)
+	g.MustAddEdge(b, a, DataEdge)
+	g.MustAddEdge(a, b, DataEdge)
+	for _, root := range []NodeID{a, b} {
+		if _, err := g.Levels(root); err == nil {
+			t.Fatalf("data cycle through %s accepted", g.Node(root).Name)
+		}
+	}
+	// The cycle is outside in's cone.
+	if levels, err := g.Levels(in); err != nil || levels[in] != 0 || levels[a] != -1 {
+		t.Fatalf("Levels(in) = %v, %v", levels, err)
+	}
+}
+
 func TestFaninTreeDistances(t *testing.T) {
 	g := diamond(t)
 	d := g.MustNode("d")
