@@ -287,37 +287,6 @@ func (g *Graph) ClearTemporalEdges() {
 	}
 }
 
-// PredsAll appends to dst the precedence predecessors of v across all edge
-// kinds, deduplicated, and returns the result. Order: data slots first,
-// then control, then temporal.
-func (g *Graph) PredsAll(dst []NodeID, v NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	for _, lists := range [][]NodeID{g.dataIn[v], g.ctrlIn[v], g.tempIn[v]} {
-		for _, u := range lists {
-			if !seen[u] {
-				seen[u] = true
-				dst = append(dst, u)
-			}
-		}
-	}
-	return dst
-}
-
-// SuccsAll appends to dst the precedence successors of v across all edge
-// kinds, deduplicated, and returns the result.
-func (g *Graph) SuccsAll(dst []NodeID, v NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	for _, lists := range [][]NodeID{g.dataOut[v], g.ctrlOut[v], g.tempOut[v]} {
-		for _, u := range lists {
-			if !seen[u] {
-				seen[u] = true
-				dst = append(dst, u)
-			}
-		}
-	}
-	return dst
-}
-
 // Clone returns a deep copy of the graph. The clone carries the source's
 // generation counters but starts with a cold PathOracle of its own, so
 // cached analyses never leak across graph identities.
@@ -388,44 +357,35 @@ func (g *Graph) Computational() []NodeID {
 // scheduler refuses cyclic inputs.
 //
 // The order is deterministic: among ready nodes, the smallest NodeID is
-// emitted first (Kahn's algorithm with an ordered frontier).
+// emitted first (Kahn's algorithm with a min-heap frontier). In-degrees
+// count every edge, parallel ones included, and each edge releases its
+// target once, so a node becomes ready exactly when its last distinct
+// predecessor is emitted.
 func (g *Graph) TopoOrder() ([]NodeID, error) {
 	n := len(g.nodes)
-	indeg := make([]int, n)
-	var scratch []NodeID
+	indeg := make([]int32, n)
+	// Ascending IDs already form a valid min-heap.
+	var frontier idHeap
 	for v := 0; v < n; v++ {
-		scratch = g.PredsAll(scratch[:0], NodeID(v))
-		indeg[v] = len(scratch)
-	}
-	// Ordered frontier: a sorted slice used as a priority queue. Frontiers
-	// in these graphs are small relative to n, and determinism matters more
-	// than asymptotics here.
-	var frontier []NodeID
-	for v := 0; v < n; v++ {
+		indeg[v] = int32(len(g.dataIn[v]) + len(g.ctrlIn[v]) + len(g.tempIn[v]))
 		if indeg[v] == 0 {
 			frontier = append(frontier, NodeID(v))
 		}
 	}
 	order := make([]NodeID, 0, n)
+	release := func(ws []NodeID) {
+		for _, w := range ws {
+			if indeg[w]--; indeg[w] == 0 {
+				frontier.push(w)
+			}
+		}
+	}
 	for len(frontier) > 0 {
-		// Smallest ID first.
-		best := 0
-		for i := 1; i < len(frontier); i++ {
-			if frontier[i] < frontier[best] {
-				best = i
-			}
-		}
-		v := frontier[best]
-		frontier[best] = frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
+		v := frontier.pop()
 		order = append(order, v)
-		scratch = g.SuccsAll(scratch[:0], v)
-		for _, w := range scratch {
-			indeg[w]--
-			if indeg[w] == 0 {
-				frontier = append(frontier, w)
-			}
-		}
+		release(g.dataOut[v])
+		release(g.ctrlOut[v])
+		release(g.tempOut[v])
 	}
 	if len(order) != n {
 		return nil, fmt.Errorf("cdfg: graph has a precedence cycle (%d of %d nodes ordered)", len(order), n)
@@ -433,29 +393,110 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 	return order, nil
 }
 
+// idHeap is a binary min-heap of node IDs.
+type idHeap []NodeID
+
+func (h *idHeap) push(v NodeID) {
+	*h = append(*h, v)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if a[p] <= a[i] {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+}
+
+func (h *idHeap) pop() NodeID {
+	a := *h
+	top := a[0]
+	last := len(a) - 1
+	a[0] = a[last]
+	a = a[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(a) {
+			break
+		}
+		if c+1 < len(a) && a[c+1] < a[c] {
+			c++
+		}
+		if a[i] <= a[c] {
+			break
+		}
+		a[i], a[c] = a[c], a[i]
+		i = c
+	}
+	*h = a
+	return top
+}
+
 // HasPath reports whether there is a precedence path (over all edge kinds)
-// from src to dst.
+// from src to dst. It is a one-off query; a caller asking many should
+// reuse one Reach.
 func (g *Graph) HasPath(src, dst NodeID) bool {
+	return g.NewReach().Path(src, dst, nil)
+}
+
+// Reach answers precedence-reachability queries over one graph, optionally
+// extended by edges not (yet) inserted into it. The visited marks are a
+// stamp array reused across queries, so a run of queries allocates once.
+// A Reach stays valid while the graph's node set is unchanged; edges may
+// be added between queries.
+type Reach struct {
+	g     *Graph
+	mark  []uint32 // mark[v] == stamp: v visited by the current query
+	stamp uint32
+	stack []NodeID
+}
+
+// NewReach returns a reachability query helper for g.
+func (g *Graph) NewReach() *Reach {
+	return &Reach{g: g, mark: make([]uint32, len(g.nodes))}
+}
+
+// Path reports whether there is a precedence path from src to dst over
+// every edge kind of the graph plus the extra edges.
+func (r *Reach) Path(src, dst NodeID, extra []Edge) bool {
 	if src == dst {
 		return true
 	}
-	seen := make([]bool, len(g.nodes))
-	stack := []NodeID{src}
-	seen[src] = true
-	var scratch []NodeID
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		scratch = g.SuccsAll(scratch[:0], v)
-		for _, w := range scratch {
-			if w == dst {
-				return true
-			}
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
+	if r.stamp++; r.stamp == 0 {
+		clear(r.mark)
+		r.stamp = 1
+	}
+	g := r.g
+	r.mark[src] = r.stamp
+	r.stack = append(r.stack[:0], src)
+	for len(r.stack) > 0 {
+		v := r.stack[len(r.stack)-1]
+		r.stack = r.stack[:len(r.stack)-1]
+		for _, l := range [3][]NodeID{g.dataOut[v], g.ctrlOut[v], g.tempOut[v]} {
+			for _, w := range l {
+				if r.visit(w, dst) {
+					return true
+				}
 			}
 		}
+		for _, e := range extra {
+			if e.From == v && r.visit(e.To, dst) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// visit pushes an unvisited w and reports whether it is dst.
+func (r *Reach) visit(w, dst NodeID) bool {
+	if w == dst {
+		return true
+	}
+	if r.mark[w] != r.stamp {
+		r.mark[w] = r.stamp
+		r.stack = append(r.stack, w)
 	}
 	return false
 }

@@ -232,19 +232,35 @@ func TestValidateOutputMayNotFanOut(t *testing.T) {
 	}
 }
 
-func TestPredsSuccsAllDeduplicate(t *testing.T) {
+// Parallel edges (a doubled data input plus a control edge between the
+// same pair) count once per edge in TopoOrder's in-degrees and are
+// released once per edge, so the pair still orders, and a longest path
+// through them is not charged twice.
+func TestTopoOrderCountsParallelEdges(t *testing.T) {
 	g := New(3)
 	a := g.AddNode("a", OpInput)
 	b := g.AddNode("b", OpAdd)
+	c := g.AddNode("c", OpMulConst)
 	g.MustAddEdge(a, b, DataEdge)
 	g.MustAddEdge(a, b, DataEdge)
 	g.MustAddEdge(a, b, ControlEdge)
-	preds := g.PredsAll(nil, b)
-	if len(preds) != 1 || preds[0] != a {
-		t.Fatalf("PredsAll = %v, want [a]", preds)
+	g.MustAddEdge(b, c, DataEdge)
+	g.MustAddEdge(b, c, TemporalEdge)
+	order, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
 	}
-	succs := g.SuccsAll(nil, a)
-	if len(succs) != 1 || succs[0] != b {
-		t.Fatalf("SuccsAll = %v, want [b]", succs)
+	if len(order) != 3 || order[0] != a || order[1] != b || order[2] != c {
+		t.Fatalf("TopoOrder = %v, want [a b c]", order)
+	}
+	to, err := g.LongestTo(PathOpts{IncludeTemporal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if to[c] != 2 {
+		t.Fatalf("longest-to(c) = %d, want 2", to[c])
+	}
+	if !g.HasPath(a, c) || g.HasPath(c, a) {
+		t.Fatal("reachability over parallel edges is wrong")
 	}
 }

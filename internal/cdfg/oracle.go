@@ -147,15 +147,11 @@ func (o *PathOracle) lookup(k oracleKey, kind string, build func() (*oracleEntry
 func (o *PathOracle) entryFor(opts PathOpts) (*oracleEntry, error) {
 	k := o.key(opts.IncludeTemporal, 0, opts.Weight)
 	return o.lookup(k, "longest", func() (*oracleEntry, error) {
-		to, err := o.g.LongestTo(opts)
+		order, err := o.g.TopoOrder()
 		if err != nil {
 			return nil, err
 		}
-		from, err := o.g.LongestFrom(opts)
-		if err != nil {
-			return nil, err
-		}
-		return o.finish(opts.Weight, to, from), nil
+		return o.finish(opts.Weight, o.g.longest(order, false, opts, 0), o.g.longest(order, true, opts, 0)), nil
 	})
 }
 
@@ -163,9 +159,8 @@ func (o *PathOracle) entryFor(opts PathOpts) (*oracleEntry, error) {
 // pair.
 func (o *PathOracle) finish(weight WeightFunc, to, from []int) *oracleEntry {
 	e := &oracleEntry{to: to, from: from, lax: make([]int, len(to))}
-	opts := PathOpts{Weight: weight}
 	for v := range e.lax {
-		e.lax[v] = to[v] + from[v] - o.g.nodeWeight(opts, NodeID(v))
+		e.lax[v] = to[v] + from[v] - o.g.NodeWeight(weight, NodeID(v))
 		if to[v] > e.critical {
 			e.critical = to[v]
 		}
@@ -234,37 +229,6 @@ func (g *Graph) temporalWeightedPaths(weight WeightFunc, tempW int) (toW, fromW 
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := PathOpts{Weight: weight}
-	edgeW := func(a, b NodeID) int {
-		if contains(g.tempOut[a], b) {
-			return tempW
-		}
-		return 0
-	}
-	n := len(g.nodes)
-	toW = make([]int, n)
-	var scratch []NodeID
-	for _, v := range order {
-		best := 0
-		scratch = g.PredsAll(scratch[:0], v)
-		for _, p := range scratch {
-			if cand := toW[p] + edgeW(p, v); cand > best {
-				best = cand
-			}
-		}
-		toW[v] = best + g.nodeWeight(opts, v)
-	}
-	fromW = make([]int, n)
-	for i := n - 1; i >= 0; i-- {
-		v := order[i]
-		best := 0
-		scratch = g.SuccsAll(scratch[:0], v)
-		for _, w := range scratch {
-			if cand := fromW[w] + edgeW(v, w); cand > best {
-				best = cand
-			}
-		}
-		fromW[v] = best + g.nodeWeight(opts, v)
-	}
-	return toW, fromW, nil
+	opts := PathOpts{IncludeTemporal: true, Weight: weight}
+	return g.longest(order, false, opts, tempW), g.longest(order, true, opts, tempW), nil
 }

@@ -17,14 +17,16 @@ import "fmt"
 // such a function to keep constraints off machine-critical paths.
 type WeightFunc func(Op) int
 
-// nodeWeight is the contribution of a node to path length.
-func (g *Graph) nodeWeight(opts PathOpts, v NodeID) int {
+// NodeWeight is the contribution of node v to path length under weight:
+// zero for a non-computational node, else weight's value (1 when weight
+// is nil).
+func (g *Graph) NodeWeight(weight WeightFunc, v NodeID) int {
 	op := g.nodes[v].Op
 	if !op.IsComputational() {
 		return 0
 	}
-	if opts.Weight != nil {
-		return opts.Weight(op)
+	if weight != nil {
+		return weight(op)
 	}
 	return 1
 }
@@ -41,40 +43,6 @@ type PathOpts struct {
 	Weight WeightFunc
 }
 
-func (g *Graph) preds(opts PathOpts, dst []NodeID, v NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	lists := [][]NodeID{g.dataIn[v], g.ctrlIn[v]}
-	if opts.IncludeTemporal {
-		lists = append(lists, g.tempIn[v])
-	}
-	for _, l := range lists {
-		for _, u := range l {
-			if !seen[u] {
-				seen[u] = true
-				dst = append(dst, u)
-			}
-		}
-	}
-	return dst
-}
-
-func (g *Graph) succs(opts PathOpts, dst []NodeID, v NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	lists := [][]NodeID{g.dataOut[v], g.ctrlOut[v]}
-	if opts.IncludeTemporal {
-		lists = append(lists, g.tempOut[v])
-	}
-	for _, l := range lists {
-		for _, u := range l {
-			if !seen[u] {
-				seen[u] = true
-				dst = append(dst, u)
-			}
-		}
-	}
-	return dst
-}
-
 // LongestTo returns, for every node v, the length of the longest path
 // ending at v, including v's own weight. The graph must be acyclic over
 // the selected edge kinds.
@@ -83,19 +51,7 @@ func (g *Graph) LongestTo(opts PathOpts) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	to := make([]int, len(g.nodes))
-	var scratch []NodeID
-	for _, v := range order {
-		best := 0
-		scratch = g.preds(opts, scratch[:0], v)
-		for _, u := range scratch {
-			if to[u] > best {
-				best = to[u]
-			}
-		}
-		to[v] = best + g.nodeWeight(opts, v)
-	}
-	return to, nil
+	return g.longest(order, false, opts, 0), nil
 }
 
 // LongestFrom returns, for every node v, the length of the longest path
@@ -105,20 +61,40 @@ func (g *Graph) LongestFrom(opts PathOpts) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	from := make([]int, len(g.nodes))
-	var scratch []NodeID
-	for i := len(order) - 1; i >= 0; i-- {
+	return g.longest(order, true, opts, 0), nil
+}
+
+// longest computes longest paths along a topological order: ending at
+// each node, or starting at it when fromEnd is set (the order is then
+// walked backwards). A temporal edge, when opts includes them, adds tempW
+// to the paths through it. It takes a max over the raw adjacency lists;
+// a parallel edge cannot change a max.
+func (g *Graph) longest(order []NodeID, fromEnd bool, opts PathOpts, tempW int) []int {
+	data, ctrl, temp := g.dataIn, g.ctrlIn, g.tempIn
+	if fromEnd {
+		data, ctrl, temp = g.dataOut, g.ctrlOut, g.tempOut
+	}
+	out := make([]int, len(g.nodes))
+	for i := range order {
 		v := order[i]
+		if fromEnd {
+			v = order[len(order)-1-i]
+		}
 		best := 0
-		scratch = g.succs(opts, scratch[:0], v)
-		for _, w := range scratch {
-			if from[w] > best {
-				best = from[w]
+		for _, u := range data[v] {
+			best = max(best, out[u])
+		}
+		for _, u := range ctrl[v] {
+			best = max(best, out[u])
+		}
+		if opts.IncludeTemporal {
+			for _, u := range temp[v] {
+				best = max(best, out[u]+tempW)
 			}
 		}
-		from[v] = best + g.nodeWeight(opts, v)
+		out[v] = best + g.NodeWeight(opts.Weight, v)
 	}
-	return from, nil
+	return out
 }
 
 // CriticalPath returns the length of the longest path in the graph over
@@ -167,7 +143,7 @@ func (g *Graph) LaxitiesW(weight WeightFunc) ([]int, error) {
 	}
 	lax := make([]int, len(g.nodes))
 	for v := range lax {
-		lax[v] = to[v] + from[v] - g.nodeWeight(opts, NodeID(v))
+		lax[v] = to[v] + from[v] - g.NodeWeight(weight, NodeID(v))
 	}
 	return lax, nil
 }

@@ -97,24 +97,34 @@ func (d *Domain) Contains(v cdfg.NodeID) bool {
 	return false
 }
 
-// PickRoot pseudo-randomly selects a root node for domain selection among
-// the computational nodes that have at least one computational data
-// predecessor (a root with an empty fan-in tree carries no watermark).
-// It returns an error if the design has no eligible node.
-func PickRoot(g *cdfg.Graph, bs *prng.Bitstream) (cdfg.NodeID, error) {
-	var eligible []cdfg.NodeID
-	for _, v := range g.Computational() {
+// Roots returns, in ID order, the nodes that can host a domain: the
+// computational nodes with at least one computational data predecessor (a
+// root with an empty fan-in tree carries no watermark). The set depends
+// on nodes and data edges only, so it holds while temporal edges are
+// added.
+func Roots(g *cdfg.Graph) []cdfg.NodeID {
+	var roots []cdfg.NodeID
+	for v := cdfg.NodeID(0); int(v) < g.Len(); v++ {
+		if !g.Node(v).Op.IsComputational() {
+			continue
+		}
 		for _, u := range g.DataIn(v) {
 			if g.Node(u).Op.IsComputational() {
-				eligible = append(eligible, v)
+				roots = append(roots, v)
 				break
 			}
 		}
 	}
-	if len(eligible) == 0 {
+	return roots
+}
+
+// PickRoot pseudo-randomly selects a root for domain selection among
+// roots, as built by Roots. It returns an error if roots is empty.
+func PickRoot(roots []cdfg.NodeID, bs *prng.Bitstream) (cdfg.NodeID, error) {
+	if len(roots) == 0 {
 		return cdfg.None, fmt.Errorf("domain: design has no node with computational fan-in")
 	}
-	return eligible[bs.Intn(len(eligible))], nil
+	return roots[bs.Intn(len(roots))], nil
 }
 
 // Select performs domain selection and identification at the given root.

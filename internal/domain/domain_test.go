@@ -81,7 +81,7 @@ func TestSelectRespectsTau(t *testing.T) {
 func TestSelectSubsetOfCandidateTree(t *testing.T) {
 	g := designs.WaveletFilter()
 	bs := prng.MustBitstream([]byte("subset"))
-	root, err := PickRoot(g, bs)
+	root, err := PickRoot(Roots(g), bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSelectConnectivity(t *testing.T) {
 	// already in T (the walk goes top-down along reversed edges).
 	g := designs.DAConverter()
 	bs := prng.MustBitstream([]byte("conn"))
-	root, err := PickRoot(g, bs)
+	root, err := PickRoot(Roots(g), bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestPickRootEligibility(t *testing.T) {
 	g := designs.ModemFilter()
 	bs := prng.MustBitstream([]byte("roots"))
 	for i := 0; i < 20; i++ {
-		root, err := PickRoot(g, bs)
+		root, err := PickRoot(Roots(g), bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestPickRootNoEligibleNodes(t *testing.T) {
 	a := g.AddNode("a", cdfg.OpMulConst) // fan-in is only the input
 	g.MustAddEdge(in, a, cdfg.DataEdge)
 	bs := prng.MustBitstream([]byte("x"))
-	if _, err := PickRoot(g, bs); err == nil {
+	if _, err := PickRoot(Roots(g), bs); err == nil {
 		t.Fatal("graph without eligible roots accepted")
 	}
 }
@@ -175,7 +175,7 @@ func TestPickRootNoEligibleNodes(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	g := designs.ModemFilter()
 	bs := prng.MustBitstream([]byte("cfg"))
-	root, err := PickRoot(g, bs)
+	root, err := PickRoot(Roots(g), bs)
 	if err != nil {
 		t.Fatal(err)
 	}

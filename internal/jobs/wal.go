@@ -45,7 +45,7 @@ import (
 // exit), not a power cut mid-write.
 
 const (
-	jwalHeader = "lwmjobs-wal v1"
+	jwalHeader  = "lwmjobs-wal v1"
 	jsnapHeader = "lwmjobs-snap v1"
 
 	recKindJob   = "job"

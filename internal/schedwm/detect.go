@@ -100,18 +100,7 @@ func Detect(g *cdfg.Graph, s *sched.Schedule, rec Record) (*Detection, error) {
 
 	det := &Detection{}
 	haveBest := false
-	for _, root := range g.Computational() {
-		// Roots without computational fan-in cannot host a domain.
-		eligible := false
-		for _, u := range g.DataIn(root) {
-			if g.Node(u).Op.IsComputational() {
-				eligible = true
-				break
-			}
-		}
-		if !eligible {
-			continue
-		}
+	for _, root := range domain.Roots(g) {
 		if rec.RootFP != "" && domain.RootFingerprint(g, root) != rec.RootFP {
 			continue // cheap structural rejection
 		}

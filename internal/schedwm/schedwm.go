@@ -193,11 +193,15 @@ func EmbedMany(g *cdfg.Graph, sig prng.Signature, cfg Config, n int) ([]*Waterma
 		// failure every index would have hit.
 		return nil, fmt.Errorf("schedwm: embedded 0 of %d watermarks: %v", n, err)
 	}
+	var roots []cdfg.NodeID
+	if cfg.Root == nil {
+		roots = domain.Roots(g)
+	}
 	rootAt := func(try int) (cdfg.NodeID, error) {
 		if cfg.Root != nil {
 			return *cfg.Root, nil
 		}
-		return domain.PickRoot(g, master)
+		return domain.PickRoot(roots, master)
 	}
 	var out []*Watermark
 	var lastErr error
@@ -226,7 +230,7 @@ type Analyses struct {
 	Budget  int            // control-step budget (resolved from cfg or critical path)
 	CPSteps int            // unit-step critical path
 	CP      int            // weighted critical path under cfg.OpWeight
-	Lax     []int          // per-node laxities under cfg.OpWeight
+	Lax     []int          // per-node laxities under cfg.OpWeight (shared with the oracle: read-only)
 	Windows *sched.Windows // ASAP/ALAP lifetime windows for Budget
 	// UnitW is the weight of the unit operation realizing a temporal edge;
 	// StretchBound the longest weighted path such an edge may create;
@@ -251,7 +255,11 @@ func Prepare(g *cdfg.Graph, cfg Config) (*Analyses, error) {
 			return nil, err
 		}
 	}
-	cpSteps, err := g.CriticalPath()
+	// Every path analysis comes from the oracle: without OpWeight the
+	// unit-step critical path, the weighted one, the laxities, the budget
+	// and the windows all share one cached entry.
+	o := g.Oracle()
+	cpSteps, err := o.CriticalPathW(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -260,11 +268,11 @@ func Prepare(g *cdfg.Graph, cfg Config) (*Analyses, error) {
 	}
 	// Eligibility is judged under the configured weighting (unit steps by
 	// default, machine cycles when OpWeight is set).
-	cp, err := g.CriticalPathW(cfg.OpWeight)
+	cp, err := o.CriticalPathW(cfg.OpWeight)
 	if err != nil {
 		return nil, err
 	}
-	lax, err := g.LaxitiesW(cfg.OpWeight)
+	lax, err := o.LaxitiesW(cfg.OpWeight)
 	if err != nil {
 		return nil, err
 	}
@@ -297,16 +305,20 @@ func Prepare(g *cdfg.Graph, cfg Config) (*Analyses, error) {
 }
 
 // CommitEdges inserts the watermark's temporal edges into g — the mutation
-// embedding performs once a watermark is accepted — and verifies the graph
-// stayed acyclic.
+// embedding performs once a watermark is accepted — refusing any edge
+// whose destination already reaches its source: on an acyclic graph that
+// is exactly the edge that would close a cycle. Edges before a refused
+// one stay inserted.
 func CommitEdges(g *cdfg.Graph, wm *Watermark) error {
+	reach := g.NewReach()
 	for _, e := range wm.Edges {
+		if reach.Path(e.To, e.From, nil) {
+			return fmt.Errorf("schedwm: internal: watermark edge %s->%s would create a cycle",
+				g.Node(e.From).Name, g.Node(e.To).Name)
+		}
 		if err := g.AddEdge(e.From, e.To, cdfg.TemporalEdge); err != nil {
 			return fmt.Errorf("schedwm: adding edge: %v", err)
 		}
-	}
-	if _, err := g.TopoOrder(); err != nil {
-		return fmt.Errorf("schedwm: internal: watermark created a cycle: %v", err)
 	}
 	return nil
 }
@@ -373,7 +385,7 @@ type encodeEnv struct {
 	lax          []int
 	laxityBound  float64
 	windows      *sched.Windows
-	toW, fromW   []int           // weighted longest paths (no-stretch test)
+	toW, fromW   []int           // weighted longest paths (no-stretch test); shared, read-only
 	weight       cdfg.WeightFunc // the weighting toW/fromW were built with
 	stretchBound int             // longest weighted path an edge may create
 	unitW        int             // weight of the realizing unit operation
@@ -424,6 +436,8 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 	// overlapping later member n_k and draw the temporal edge n_i -> n_k,
 	// stopping once K edges exist.
 	wm := &Watermark{Root: d.Root, Domain: d, TPrime: tprime, TSel: tsel}
+	reach := g.NewReach()
+	paths := &noStretch{g: g, weight: env.weight, unitW: env.unitW, toW: env.toW, fromW: env.fromW}
 	for i, ni := range tsel {
 		if len(wm.Edges) >= cfg.K {
 			break
@@ -454,17 +468,17 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 			// The realized constraint (a unit op between the pair) must
 			// not stretch the weighted critical path: the watermark stays
 			// free in the timing sense.
-			if env.toW[ni]+env.unitW+env.fromW[nj] > env.stretchBound {
+			if paths.toW[ni]+env.unitW+paths.fromW[nj] > env.stretchBound {
 				continue
 			}
 			// A temporal edge ni->nj must not create a cycle with existing
 			// precedence (or previously drawn watermark edges).
-			if pathConsidering(g, wm.Edges, nj, ni) {
+			if reach.Path(nj, ni, wm.Edges) {
 				continue
 			}
 			// Skip pairs already ordered by the specification: the edge
 			// would be implied and carry no evidence.
-			if pathConsidering(g, wm.Edges, ni, nj) {
+			if reach.Path(ni, nj, wm.Edges) {
 				continue
 			}
 			cands = append(cands, nj)
@@ -475,142 +489,15 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 		nk := cands[bs.Intn(len(cands))]
 		wm.Edges = append(wm.Edges, cdfg.Edge{From: ni, To: nk, Kind: cdfg.TemporalEdge})
 		wm.RankEdges = append(wm.RankEdges, [2]int{d.Order.Rank[ni], d.Order.Rank[nk]})
-		// Refresh the weighted paths so the no-stretch test sees the
+		// Raise the weighted paths so the no-stretch test sees the
 		// accumulated effect of the edges drawn so far.
-		toW, fromW, err := pathsWithPending(g, env.weight, wm.Edges, env.unitW)
-		if err != nil {
-			return nil, err
-		}
-		env.toW, env.fromW = toW, fromW
+		paths.add(wm.Edges, ni, nk)
 	}
 	if len(wm.Edges) == 0 {
 		return nil, fmt.Errorf("schedwm: selection produced no drawable temporal edge at root %s",
 			g.Node(d.Root).Name)
 	}
 	return wm, nil
-}
-
-// pathsWithPending computes weighted longest paths over g (all edge kinds)
-// extended by the pending watermark edges, each modeled as its realizing
-// unit operation of weight unitW. Used to keep the no-stretch test exact
-// while edges accumulate within one encoding pass.
-func pathsWithPending(g *cdfg.Graph, weight cdfg.WeightFunc, pending []cdfg.Edge, unitW int) (toW, fromW []int, err error) {
-	n := g.Len()
-	succ := make([][]cdfg.NodeID, n)
-	pred := make([][]cdfg.NodeID, n)
-	extra := make(map[[2]cdfg.NodeID]bool, len(pending))
-	var scratch []cdfg.NodeID
-	for v := 0; v < n; v++ {
-		scratch = g.SuccsAll(scratch[:0], cdfg.NodeID(v))
-		succ[v] = append(succ[v], scratch...)
-		// Temporal edges already in g will also be realized as unit ops;
-		// charge them the same extra weight as the pending ones.
-		for _, w := range g.TemporalOut(cdfg.NodeID(v)) {
-			extra[[2]cdfg.NodeID{cdfg.NodeID(v), w}] = true
-		}
-	}
-	for _, e := range pending {
-		succ[e.From] = append(succ[e.From], e.To)
-		extra[[2]cdfg.NodeID{e.From, e.To}] = true
-	}
-	indeg := make([]int, n)
-	for v := range succ {
-		for _, w := range succ[v] {
-			pred[w] = append(pred[w], cdfg.NodeID(v))
-			indeg[w]++
-		}
-	}
-	wOf := func(v cdfg.NodeID) int {
-		op := g.Node(v).Op
-		if !op.IsComputational() {
-			return 0
-		}
-		if weight != nil {
-			return weight(op)
-		}
-		return 1
-	}
-	edgeW := func(a, b cdfg.NodeID) int {
-		if extra[[2]cdfg.NodeID{a, b}] {
-			return unitW
-		}
-		return 0
-	}
-	// Topological order over the extended graph.
-	var frontier []cdfg.NodeID
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			frontier = append(frontier, cdfg.NodeID(v))
-		}
-	}
-	var order []cdfg.NodeID
-	for len(frontier) > 0 {
-		v := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		order = append(order, v)
-		for _, w := range succ[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				frontier = append(frontier, w)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, nil, fmt.Errorf("schedwm: pending edges create a cycle")
-	}
-	toW = make([]int, n)
-	for _, v := range order {
-		best := 0
-		for _, p := range pred[v] {
-			if cand := toW[p] + edgeW(p, v); cand > best {
-				best = cand
-			}
-		}
-		toW[v] = best + wOf(v)
-	}
-	fromW = make([]int, n)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		best := 0
-		for _, w := range succ[v] {
-			if cand := fromW[w] + edgeW(v, w); cand > best {
-				best = cand
-			}
-		}
-		fromW[v] = best + wOf(v)
-	}
-	return toW, fromW, nil
-}
-
-// pathConsidering reports whether there is a precedence path from src to
-// dst in g, also considering the pending (not yet inserted) edges.
-func pathConsidering(g *cdfg.Graph, pending []cdfg.Edge, src, dst cdfg.NodeID) bool {
-	if src == dst {
-		return true
-	}
-	seen := map[cdfg.NodeID]bool{src: true}
-	stack := []cdfg.NodeID{src}
-	var scratch []cdfg.NodeID
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		scratch = g.SuccsAll(scratch[:0], v)
-		for _, e := range pending {
-			if e.From == v {
-				scratch = append(scratch, e.To)
-			}
-		}
-		for _, u := range scratch {
-			if u == dst {
-				return true
-			}
-			if !seen[u] {
-				seen[u] = true
-				stack = append(stack, u)
-			}
-		}
-	}
-	return false
 }
 
 func sortByRank(nodes []cdfg.NodeID, rank map[cdfg.NodeID]int) []cdfg.NodeID {

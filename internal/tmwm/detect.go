@@ -158,17 +158,7 @@ func VerifyOwnership(g *cdfg.Graph, lib *tmatch.Library, cover *tmatch.Cover,
 func detectDomainMode(g *cdfg.Graph, lib *tmatch.Library, rec Record,
 	check func(*order.Result) (*Detection, error)) (*Detection, error) {
 	best := &Detection{Total: len(rec.RankEnforced), Root: cdfg.None}
-	for _, root := range g.Computational() {
-		eligible := false
-		for _, u := range g.DataIn(root) {
-			if g.Node(u).Op.IsComputational() {
-				eligible = true
-				break
-			}
-		}
-		if !eligible {
-			continue
-		}
+	for _, root := range domain.Roots(g) {
 		if rec.RootFP != "" && domain.RootFingerprint(g, root) != rec.RootFP {
 			continue // cheap structural rejection
 		}

@@ -204,10 +204,11 @@ func EmbedMany(g *cdfg.Graph, sig prng.Signature, cfg Config, n int) ([]*Waterma
 	if err != nil {
 		return nil, err
 	}
+	roots := domain.Roots(g)
 	var out []*Watermark
 	var lastErr error
 	for idx := 0; idx < n; idx++ {
-		wm, err := embedOne(g, master, sig, cfg, idx, lax, bound, shared)
+		wm, err := embedOne(g, roots, master, sig, cfg, idx, lax, bound, shared)
 		if err != nil {
 			lastErr = err
 			continue
@@ -220,11 +221,11 @@ func EmbedMany(g *cdfg.Graph, sig prng.Signature, cfg Config, n int) ([]*Waterma
 	return out, nil
 }
 
-func embedOne(g *cdfg.Graph, master *prng.Bitstream, sig prng.Signature, cfg Config,
+func embedOne(g *cdfg.Graph, roots []cdfg.NodeID, master *prng.Bitstream, sig prng.Signature, cfg Config,
 	idx int, lax []int, bound float64, shared *sharedState) (*Watermark, error) {
 	var lastErr error
 	for try := 1; try <= cfg.MaxTries; try++ {
-		root, err := domain.PickRoot(g, master)
+		root, err := domain.PickRoot(roots, master)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,13 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== tier 1: build + tests =="
+echo "== tier 1: format + build + tests =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would rewrite:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 go build ./...
 # lwmbench/ is its own module, so ./... skips it; build it explicitly so
 # an API change that breaks the benchmark fails here.
