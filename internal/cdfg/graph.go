@@ -66,6 +66,13 @@ type Edge struct {
 type Graph struct {
 	nodes []Node
 
+	// names maps a node name to the first node that carries it. It is
+	// built by the first NodeByName and dropped by AddNode, so a graph
+	// nobody looks names up in (most designs resident in the registry)
+	// carries none. The pointer is atomic because a shared graph's first
+	// lookups may come from concurrent readers; each builds the same map.
+	names atomic.Pointer[map[string]NodeID]
+
 	// dataIn[v] lists, in input-slot order, the data-edge sources of v.
 	// Slot order is meaningful: it is how the domain-identification step
 	// disambiguates "each node input".
@@ -137,6 +144,7 @@ func (g *Graph) AddNode(name string, op Op) NodeID {
 	g.structGen++
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Op: op})
+	g.names.Store(nil)
 	g.dataIn = append(g.dataIn, nil)
 	g.dataOut = append(g.dataOut, nil)
 	g.ctrlIn = append(g.ctrlIn, nil)
@@ -162,14 +170,24 @@ func (g *Graph) SetOp(v NodeID, op Op) {
 	g.nodes[v].Op = op
 }
 
-// NodeByName returns the node with the given name.
+// NodeByName returns the node with the given name; when several nodes
+// share it, the one added first. After the first call on a graph it is
+// a map lookup.
 func (g *Graph) NodeByName(name string) (Node, bool) {
-	for _, n := range g.nodes {
-		if n.Name == name {
-			return n, true
+	names := g.names.Load()
+	if names == nil {
+		m := make(map[string]NodeID, len(g.nodes))
+		for i := len(g.nodes) - 1; i >= 0; i-- { // the first node added wins
+			m[g.nodes[i].Name] = NodeID(i)
 		}
+		names = &m
+		g.names.Store(names)
 	}
-	return Node{}, false
+	id, ok := (*names)[name]
+	if !ok {
+		return Node{}, false
+	}
+	return g.nodes[id], true
 }
 
 // MustNode returns the ID of the node with the given name, panicking if it

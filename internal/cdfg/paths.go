@@ -152,61 +152,114 @@ func (g *Graph) LaxitiesW(weight WeightFunc) ([]int, error) {
 // length (in edges, over reversed data edges) of the longest path in the
 // fan-in cone from root to the node. Nodes outside root's transitive
 // fan-in get level -1. This is the quantity used by ordering criterion C1.
-//
-// Only the cone is visited: a breadth-first search over data inputs
-// collects it, and Kahn's algorithm over the cone's reversed data edges
-// finalizes each node once all of its in-cone consumers are. A data cycle
-// inside the cone is reported as an error; edges of other kinds, and
-// nodes outside the cone, are never looked at.
+// It is ConeLevels.Compute spread over a fresh per-node slice.
 func (g *Graph) Levels(root NodeID) ([]int, error) {
-	if err := g.checkID(root); err != nil {
+	var c ConeLevels
+	if err := c.Compute(g, root); err != nil {
 		return nil, err
 	}
 	level := make([]int, len(g.nodes))
 	for i := range level {
 		level[i] = -1
 	}
-	// Collect the cone, marking its members with level 0 for now.
-	level[root] = 0
-	cone := []NodeID{root}
-	for i := 0; i < len(cone); i++ {
-		for _, u := range g.dataIn[cone[i]] {
-			if level[u] < 0 {
-				level[u] = 0
-				cone = append(cone, u)
+	for _, v := range c.cone {
+		level[v] = int(c.level[v])
+	}
+	return level, nil
+}
+
+// ConeLevels holds the levels of one root's data fan-in cone in storage
+// that is reused from one Compute to the next, so ranking many roots of
+// a graph allocates once. Per-node entries are valid only where mark
+// equals the current stamp, which makes a new cone cost its own size,
+// not the graph's. The zero value is ready to use; a ConeLevels must not
+// be shared between goroutines.
+type ConeLevels struct {
+	level   []int32
+	pending []int32
+	mark    []uint32 // mark[v] == stamp: v is in the current cone
+	stamp   uint32
+	cone    []NodeID // members in discovery order
+	ready   []NodeID // Kahn's finalization order
+}
+
+// Compute finds the levels of root's cone in g (see Graph.Levels).
+//
+// Only the cone is visited: a breadth-first search over data inputs
+// collects it, and Kahn's algorithm over the cone's reversed data edges
+// finalizes each node once all of its in-cone consumers are. A data cycle
+// inside the cone is reported as an error; edges of other kinds, and
+// nodes outside the cone, are never looked at.
+func (c *ConeLevels) Compute(g *Graph, root NodeID) error {
+	if err := g.checkID(root); err != nil {
+		return err
+	}
+	if n := len(g.nodes); len(c.mark) < n {
+		c.level = make([]int32, n)
+		c.pending = make([]int32, n)
+		c.mark = make([]uint32, n)
+		c.stamp = 0
+	}
+	if c.stamp++; c.stamp == 0 {
+		clear(c.mark)
+		c.stamp = 1
+	}
+	// Collect the cone, every member at level 0 for now.
+	c.mark[root] = c.stamp
+	c.level[root] = 0
+	c.cone = append(c.cone[:0], root)
+	for i := 0; i < len(c.cone); i++ {
+		for _, u := range g.dataIn[c.cone[i]] {
+			if c.mark[u] != c.stamp {
+				c.mark[u] = c.stamp
+				c.level[u] = 0
+				c.cone = append(c.cone, u)
 			}
 		}
 	}
 	// pending[v] counts v's data-out edges into the cone whose target is
 	// not final yet; v becomes final when it drops to zero.
-	pending := make([]int32, len(g.nodes))
-	for _, v := range cone {
+	for _, v := range c.cone {
+		c.pending[v] = 0
 		for _, w := range g.dataOut[v] {
-			if level[w] >= 0 {
-				pending[v]++
+			if c.mark[w] == c.stamp {
+				c.pending[v]++
 			}
 		}
 	}
-	ready := []NodeID{root}
-	if pending[root] != 0 {
-		ready = nil // root lies on a data cycle: reported below
+	if c.pending[root] != 0 {
+		return c.cycle(g, root, 0) // root lies on a data cycle
 	}
-	for i := 0; i < len(ready); i++ {
-		w := ready[i]
+	c.ready = append(c.ready[:0], root)
+	for i := 0; i < len(c.ready); i++ {
+		w := c.ready[i]
 		for _, u := range g.dataIn[w] {
-			if level[w]+1 > level[u] {
-				level[u] = level[w] + 1
+			if c.level[w]+1 > c.level[u] {
+				c.level[u] = c.level[w] + 1
 			}
-			if pending[u]--; pending[u] == 0 {
-				ready = append(ready, u)
+			if c.pending[u]--; c.pending[u] == 0 {
+				c.ready = append(c.ready, u)
 			}
 		}
 	}
-	if len(ready) != len(cone) {
-		return nil, fmt.Errorf("cdfg: data cycle in the fan-in cone of %s (%d of %d nodes ordered)",
-			g.nodes[root].Name, len(ready), len(cone))
+	if len(c.ready) != len(c.cone) {
+		return c.cycle(g, root, len(c.ready))
 	}
-	return level, nil
+	return nil
+}
+
+func (c *ConeLevels) cycle(g *Graph, root NodeID, ordered int) error {
+	return fmt.Errorf("cdfg: data cycle in the fan-in cone of %s (%d of %d nodes ordered)",
+		g.nodes[root].Name, ordered, len(c.cone))
+}
+
+// Level returns v's level from the last Compute, or -1 when v lies
+// outside that cone.
+func (c *ConeLevels) Level(v NodeID) int {
+	if int(v) >= len(c.mark) || c.mark[v] != c.stamp {
+		return -1
+	}
+	return int(c.level[v])
 }
 
 // FaninTree returns the set of nodes whose shortest backward data-edge

@@ -296,3 +296,142 @@ func TestReachConsidersExtraEdges(t *testing.T) {
 		}
 	}
 }
+
+// refLevels is Levels as it was written before ConeLevels: two fresh
+// O(|V|) arrays per call, the cone marked by level >= 0.
+func refLevels(g *Graph, root NodeID) ([]int, error) {
+	level := make([]int, len(g.nodes))
+	for i := range level {
+		level[i] = -1
+	}
+	level[root] = 0
+	cone := []NodeID{root}
+	for i := 0; i < len(cone); i++ {
+		for _, u := range g.dataIn[cone[i]] {
+			if level[u] < 0 {
+				level[u] = 0
+				cone = append(cone, u)
+			}
+		}
+	}
+	pending := make([]int32, len(g.nodes))
+	for _, v := range cone {
+		for _, w := range g.dataOut[v] {
+			if level[w] >= 0 {
+				pending[v]++
+			}
+		}
+	}
+	ready := []NodeID{root}
+	if pending[root] != 0 {
+		ready = nil
+	}
+	for i := 0; i < len(ready); i++ {
+		w := ready[i]
+		for _, u := range g.dataIn[w] {
+			if level[w]+1 > level[u] {
+				level[u] = level[w] + 1
+			}
+			if pending[u]--; pending[u] == 0 {
+				ready = append(ready, u)
+			}
+		}
+	}
+	if len(ready) != len(cone) {
+		return nil, fmt.Errorf("data cycle")
+	}
+	return level, nil
+}
+
+// TestConeLevelsMatchReference reuses one ConeLevels across random graphs
+// of growing and shrinking size (duplicate data edges included) and
+// requires every root's levels to equal the reference, through both
+// ConeLevels.Level and Graph.Levels.
+func TestConeLevelsMatchReference(t *testing.T) {
+	var c ConeLevels
+	for i, size := range []int{40, 8, 25, 60, 5, 33} {
+		g := randomPrecedenceDAG(uint32(i+1), size)
+		for root := NodeID(0); int(root) < g.Len(); root++ {
+			want, err := refLevels(g, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Compute(g, root); err != nil {
+				t.Fatal(err)
+			}
+			full, err := g.Levels(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range want {
+				if got := c.Level(NodeID(v)); got != want[v] || full[v] != want[v] {
+					t.Fatalf("graph %d root %d: level[%d] = %d (Levels %d), want %d", i, root, v, got, full[v], want[v])
+				}
+			}
+		}
+	}
+}
+
+// When the stamp wraps, marks left under small stamps must not leak into
+// later cones: the first cone marks every node with stamp 1, and the
+// roots after the wrap must still match the reference.
+func TestConeLevelsStampWrap(t *testing.T) {
+	g := randomPrecedenceDAG(3, 30)
+	topo, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c ConeLevels
+	if err := c.Compute(g, topo[len(topo)-1]); err != nil {
+		t.Fatal(err)
+	}
+	c.stamp = ^uint32(0)
+	for root := NodeID(0); int(root) < g.Len(); root++ {
+		want, err := refLevels(g, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Compute(g, root); err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			if got := c.Level(NodeID(v)); got != want[v] {
+				t.Fatalf("root %d after the wrap: level[%d] = %d, want %d", root, v, got, want[v])
+			}
+		}
+	}
+}
+
+// A data cycle inside the cone fails Compute as it fails the reference,
+// and the next Compute on an acyclic cone is unaffected.
+func TestConeLevelsCycleMatchesReference(t *testing.T) {
+	g := randomPrecedenceDAG(7, 20)
+	order, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := order[len(order)/2], order[len(order)/2+1]
+	g.MustAddEdge(a, b, DataEdge)
+	g.MustAddEdge(b, a, DataEdge)
+	var c ConeLevels
+	cyclic := 0
+	for root := NodeID(0); int(root) < g.Len(); root++ {
+		_, refErr := refLevels(g, root)
+		if err := c.Compute(g, root); (err != nil) != (refErr != nil) {
+			t.Fatalf("root %d: Compute error %v, reference error %v", root, err, refErr)
+		}
+		if refErr != nil {
+			cyclic++
+			continue
+		}
+		want, _ := refLevels(g, root)
+		for v := range want {
+			if got := c.Level(NodeID(v)); got != want[v] {
+				t.Fatalf("root %d: level[%d] = %d, want %d", root, v, got, want[v])
+			}
+		}
+	}
+	if cyclic == 0 || cyclic == g.Len() {
+		t.Fatalf("%d of %d cones cyclic; the test needs both kinds", cyclic, g.Len())
+	}
+}

@@ -15,6 +15,7 @@ package domain
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"localwm/internal/cdfg"
@@ -129,61 +130,91 @@ func PickRoot(roots []cdfg.NodeID, bs *prng.Bitstream) (cdfg.NodeID, error) {
 
 // Select performs domain selection and identification at the given root.
 // The returned Domain's T is a deterministic function of (g, root, the
-// bitstream state); Select consumes bitstream bits.
+// bitstream state); Select consumes bitstream bits. The Domain is the
+// caller's own; Selector.Select is the same selection in reused storage.
 func Select(g *cdfg.Graph, bs *prng.Bitstream, root cdfg.NodeID, cfg Config) (*Domain, error) {
+	var s Selector
+	d, err := s.Select(g, bs, root, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Copies, so the Domain does not pin the Selector's per-node arrays.
+	own := *d
+	own.Order = new(order.Result)
+	*own.Order = *d.Order
+	return &own, nil
+}
+
+// Selector holds the storage of domain selection — tree and walk marks,
+// the candidate tree, the walk queue, the canonical ordering's Ranker and
+// the Domain itself — and reuses it from one Select to the next, so a
+// scan over many roots of a graph allocates only while the storage grows.
+// A Domain returned by a Selector aliases that storage and stays valid
+// until the Selector's next call. The zero value is ready to use; a
+// Selector must not be shared between goroutines.
+type Selector struct {
+	// mark[v] == stamp: v is in the candidate tree T_o; inT[v] == stamp:
+	// the walk has selected v.
+	mark, inT []uint32
+	stamp     uint32
+	to        []cdfg.NodeID
+	next      []cdfg.NodeID
+	queue     []cdfg.NodeID
+	cands     []cdfg.NodeID
+	ranker    order.Ranker
+	d         Domain
+}
+
+// Select is the package-level Select in the Selector's storage.
+func (s *Selector) Select(g *cdfg.Graph, bs *prng.Bitstream, root cdfg.NodeID, cfg Config) (*Domain, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	tree, err := cappedFaninTree(g, root, cfg.MaxDist, cfg.MaxTreeSize)
-	if err != nil {
+	if err := s.faninTree(g, root, cfg.MaxDist, cfg.MaxTreeSize); err != nil {
 		return nil, err
 	}
-	to := make([]cdfg.NodeID, 0, len(tree))
-	for v := range tree {
-		to = append(to, v)
-	}
-	to = cdfg.SortedIDs(to)
-
-	ord, err := order.Order(g, root, to, 0)
+	// Ascending IDs spare the ranking its own sort of the tree by ID.
+	slices.Sort(s.to)
+	ord, err := s.ranker.Order(g, root, s.to, 0)
 	if err != nil {
 		return nil, err
 	}
 
-	d := &Domain{Root: root, To: ord.Ordered, Order: ord}
+	d := &s.d
+	*d = Domain{Root: root, To: ord.Ordered, T: d.T[:0], Order: ord}
 
 	// Top-down breadth-first walk against edge direction. At each node the
 	// bitstream picks at least one input to recurse into and then flips a
 	// coin per remaining input. Candidate inputs are visited in canonical
 	// rank order so the bit positions are unambiguous.
-	inT := map[cdfg.NodeID]bool{root: true}
+	s.inT[root] = s.stamp
 	d.T = append(d.T, root)
-	queue := []cdfg.NodeID{root}
-	for len(queue) > 0 && len(d.T) < cfg.Tau {
-		v := queue[0]
-		queue = queue[1:]
+	s.queue = append(s.queue[:0], root)
+	for head := 0; head < len(s.queue) && len(d.T) < cfg.Tau; head++ {
+		v := s.queue[head]
 
-		var cands []cdfg.NodeID
+		s.cands = s.cands[:0]
 		for _, u := range g.DataIn(v) {
-			if _, inTree := tree[u]; inTree && !inT[u] {
-				cands = append(cands, u)
+			if s.mark[u] == s.stamp && s.inT[u] != s.stamp {
+				s.cands = append(s.cands, u)
 			}
 		}
-		if len(cands) == 0 {
+		if len(s.cands) == 0 {
 			continue
 		}
 		// Canonical order of candidates.
-		cands = sortByRank(cands, ord.Rank)
+		sortByRank(s.cands, ord)
 
-		mandatory := bs.Intn(len(cands))
-		for i, u := range cands {
+		mandatory := bs.Intn(len(s.cands))
+		for i, u := range s.cands {
 			take := i == mandatory || bs.Coin(cfg.IncludeNum, cfg.IncludeDen)
 			if !take {
 				continue
 			}
-			inT[u] = true
+			s.inT[u] = s.stamp
 			d.T = append(d.T, u)
-			queue = append(queue, u)
+			s.queue = append(s.queue, u)
 			if len(d.T) >= cfg.Tau {
 				break
 			}
@@ -198,8 +229,14 @@ func Select(g *cdfg.Graph, bs *prng.Bitstream, root cdfg.NodeID, cfg Config) (*D
 // derivation. The fingerprint depends only on the node's immediate
 // neighborhood, so it survives cropping and embedding into host systems.
 func RootFingerprint(g *cdfg.Graph, v cdfg.NodeID) string {
+	return string(appendFingerprint(nil, g, v))
+}
+
+// appendFingerprint appends v's fingerprint text to fp.
+func appendFingerprint(fp []byte, g *cdfg.Graph, v cdfg.NodeID) []byte {
 	ins := g.DataIn(v)
-	ops := make([]int, 0, len(ins))
+	var small [8]int
+	ops := small[:0]
 	for _, u := range ins {
 		ops = append(ops, int(g.Node(u).Op))
 	}
@@ -211,7 +248,6 @@ func RootFingerprint(g *cdfg.Graph, v cdfg.NodeID) string {
 	}
 	// "op/arity/[in-op in-op …]". Detection records store this text, so
 	// its format must not change.
-	fp := make([]byte, 0, 8+3*len(ops))
 	fp = strconv.AppendInt(fp, int64(g.Node(v).Op), 10)
 	fp = append(fp, '/')
 	fp = strconv.AppendInt(fp, int64(len(ins)), 10)
@@ -222,51 +258,120 @@ func RootFingerprint(g *cdfg.Graph, v cdfg.NodeID) string {
 		}
 		fp = strconv.AppendInt(fp, int64(op), 10)
 	}
-	return string(append(fp, ']'))
+	return append(fp, ']')
 }
 
-// cappedFaninTree is FaninTree with a node-count cap: BFS levels are
+// RootIndex is the per-graph half of a detection scan: the candidate
+// roots (Roots) and each one's fingerprint, computed once and grouped so
+// a record visits only the roots its fingerprint admits. It only reads
+// the graph and is safe for concurrent use.
+type RootIndex struct {
+	roots   []cdfg.NodeID
+	bucket  map[string]int // fingerprint → bucket number
+	start   []int          // bucket b is grouped[start[b]:start[b+1]]
+	grouped []cdfg.NodeID  // the roots bucket by bucket, ascending IDs in each
+}
+
+// NewRootIndex indexes the candidate roots of g.
+func NewRootIndex(g *cdfg.Graph) *RootIndex {
+	ix := &RootIndex{roots: Roots(g), bucket: map[string]int{}, start: []int{0}}
+	of := make([]int, len(ix.roots)) // bucket of roots[i]
+	var fp []byte
+	for i, v := range ix.roots {
+		fp = appendFingerprint(fp[:0], g, v)
+		b, ok := ix.bucket[string(fp)]
+		if !ok {
+			b = len(ix.bucket)
+			ix.bucket[string(fp)] = b
+			ix.start = append(ix.start, 0)
+		}
+		ix.start[b+1]++ // counts first, offsets below
+		of[i] = b
+	}
+	for b := 1; b < len(ix.start); b++ {
+		ix.start[b] += ix.start[b-1]
+	}
+	// A stable counting sort keeps every bucket in ascending ID order.
+	ix.grouped = make([]cdfg.NodeID, len(ix.roots))
+	fill := slices.Clone(ix.start)
+	for i, v := range ix.roots {
+		ix.grouped[fill[of[i]]] = v
+		fill[of[i]]++
+	}
+	return ix
+}
+
+// Candidates returns, in ascending ID order, the roots whose fingerprint
+// is fp, or every root when fp is empty (a record without a
+// fingerprint). The slice must not be modified.
+func (ix *RootIndex) Candidates(fp string) []cdfg.NodeID {
+	if fp == "" {
+		return ix.roots
+	}
+	b, ok := ix.bucket[fp]
+	if !ok {
+		return nil
+	}
+	return ix.grouped[ix.start[b]:ix.start[b+1]]
+}
+
+// faninTree collects into s.to, in BFS order, and marks with s.stamp the
+// candidate tree T_o: FaninTree with a node-count cap. BFS levels are
 // admitted whole while they fit, and the level that would overflow is
 // admitted in ascending node-ID order up to the cap — a rule both the
-// embedder and the detector apply identically. (Ascending-ID order is
-// stable under the attacks the evaluation simulates: induced-subgraph
-// cropping and host embedding both preserve the relative ID order of the
-// surviving nodes.)
-func cappedFaninTree(g *cdfg.Graph, root cdfg.NodeID, maxDist, maxNodes int) (map[cdfg.NodeID]int, error) {
+// embedder and the detector apply identically. (Ascending-ID order is stable under the
+// attacks the evaluation simulates: induced-subgraph cropping and host
+// embedding both preserve the relative ID order of the surviving nodes.)
+func (s *Selector) faninTree(g *cdfg.Graph, root cdfg.NodeID, maxDist, maxNodes int) error {
 	if maxNodes <= 0 {
-		return nil, fmt.Errorf("domain: non-positive tree cap %d", maxNodes)
+		return fmt.Errorf("domain: non-positive tree cap %d", maxNodes)
 	}
-	dist := map[cdfg.NodeID]int{root: 0}
-	frontier := []cdfg.NodeID{root}
-	for d := 1; d <= maxDist && len(frontier) > 0 && len(dist) < maxNodes; d++ {
-		var next []cdfg.NodeID
-		seen := map[cdfg.NodeID]bool{}
-		for _, v := range frontier {
+	if n := g.Len(); len(s.mark) < n {
+		s.mark = make([]uint32, n)
+		s.inT = make([]uint32, n)
+		s.stamp = 0
+	}
+	if s.stamp++; s.stamp == 0 {
+		clear(s.mark)
+		clear(s.inT)
+		s.stamp = 1
+	}
+	s.mark[root] = s.stamp
+	s.to = append(s.to[:0], root)
+	level := s.to // the current BFS frontier, a suffix of s.to
+	for d := 1; d <= maxDist && len(level) > 0 && len(s.to) < maxNodes; d++ {
+		// Marking on discovery stands in for the per-level seen set; the
+		// part of a level past the cap is unmarked again below.
+		s.next = s.next[:0]
+		for _, v := range level {
 			for _, u := range g.DataIn(v) {
-				if _, ok := dist[u]; !ok && !seen[u] {
-					seen[u] = true
-					next = append(next, u)
+				if s.mark[u] != s.stamp {
+					s.mark[u] = s.stamp
+					s.next = append(s.next, u)
 				}
 			}
 		}
-		next = cdfg.SortedIDs(next)
-		for _, u := range next {
-			if len(dist) >= maxNodes {
-				return dist, nil
+		if room := maxNodes - len(s.to); len(s.next) > room {
+			slices.Sort(s.next)
+			for _, u := range s.next[room:] {
+				s.mark[u] = 0
 			}
-			dist[u] = d
+			s.to = append(s.to, s.next[:room]...)
+			return nil
 		}
-		frontier = next
+		start := len(s.to)
+		s.to = append(s.to, s.next...)
+		level = s.to[start:]
 	}
-	return dist, nil
+	return nil
 }
 
-func sortByRank(nodes []cdfg.NodeID, rank map[cdfg.NodeID]int) []cdfg.NodeID {
-	out := append([]cdfg.NodeID(nil), nodes...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && rank[out[j]] < rank[out[j-1]]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+// sortByRank insertion-sorts the few inputs of one node into canonical
+// rank order.
+func sortByRank(nodes []cdfg.NodeID, ord *order.Result) {
+	for i := 1; i < len(nodes); i++ {
+		for j := i; j > 0 && ord.Rank(nodes[j]) < ord.Rank(nodes[j-1]); j-- {
+			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
 		}
 	}
-	return out
 }

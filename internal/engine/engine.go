@@ -82,6 +82,8 @@ type DetectResult struct {
 
 // DetectBatch runs schedwm.Detect for every suspect×record pair on a
 // worker pool: out[i][j] is the result for suspects[i] against recs[j].
+// Each suspect's schedwm.Scan (windows, roots, fingerprints) is built
+// once, by the first job that needs it, and shared by all of its records.
 // Detection only reads the suspect graph (concurrent window queries share
 // its PathOracle), so one Suspect may appear under many records at once.
 func DetectBatch(suspects []Suspect, recs []schedwm.Record, workers int) [][]DetectResult {
@@ -102,6 +104,10 @@ func DetectBatchCtx(ctx context.Context, suspects []Suspect, recs []schedwm.Reco
 	defer batchSpan.Finish()
 	batchSpan.SetAttr("suspects", len(suspects))
 	batchSpan.SetAttr("records", len(recs))
+	scans := make([]func() *schedwm.Scan, len(suspects))
+	for i, sp := range suspects {
+		scans[i] = sync.OnceValue(func() *schedwm.Scan { return schedwm.NewScan(sp.Graph, sp.Schedule) })
+	}
 	tr := obs.TraceFrom(ctx)
 	runPool(workers, len(suspects)*len(recs), func(job int) {
 		i, j := job/len(recs), job%len(recs)
@@ -109,7 +115,7 @@ func DetectBatchCtx(ctx context.Context, suspects []Suspect, recs []schedwm.Reco
 		if tr != nil {
 			span = tr.StartSpan(batchSpan, fmt.Sprintf("engine.detect[%d][%d]", i, j))
 		}
-		det, err := schedwm.Detect(suspects[i].Graph, suspects[i].Schedule, recs[j])
+		det, err := scans[i]().Detect(recs[j])
 		out[i][j] = DetectResult{Det: det, Err: err}
 		span.Finish()
 	})

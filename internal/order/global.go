@@ -33,5 +33,5 @@ func Global(g *cdfg.Graph, maxDepth int) (*Result, error) {
 	for i, v := range nodes {
 		c1[i] = from[v]
 	}
-	return rank(g, nodes, c1, maxDepth), nil
+	return new(Ranker).rank(g, nodes, c1, maxDepth), nil
 }

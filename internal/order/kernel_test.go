@@ -74,6 +74,29 @@ func TestFaninStatsMatchReference(t *testing.T) {
 	}
 }
 
+// When the fan-in search stamp wraps, marks left under small stamps must
+// not leak into later searches: the first search marks a whole fan-in
+// tree with stamp 1, and every search after the wrap must still match
+// the reference.
+func TestFaninStatsStampWrap(t *testing.T) {
+	g := randomDAG(4, 60)
+	topo, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fi faninScratch
+	fi.stats(g, topo[len(topo)-1], g.Len())
+	fi.cur = ^uint32(0)
+	for v := cdfg.NodeID(0); int(v) < g.Len(); v++ {
+		k, phi := fi.stats(g, v, 4)
+		wantK, _ := g.FaninCount(v, 4)
+		wantPhi, _ := g.FaninFunctionalitySum(v, 4)
+		if k != wantK || phi != wantPhi {
+			t.Fatalf("node %d after the wrap: (K, φ) = (%d, %d), want (%d, %d)", v, k, phi, wantK, wantPhi)
+		}
+	}
+}
+
 // referenceLevels is the whole-graph definition of L_i: longest path over
 // reversed data edges from root, in reverse topological order of the
 // full precedence relation.
@@ -191,8 +214,8 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 		if got.Ordered[i] != v {
 			t.Fatalf("%s: position %d holds node %d, want %d", what, i, got.Ordered[i], v)
 		}
-		if got.Rank[v] != i {
-			t.Fatalf("%s: rank of node %d is %d, want %d", what, v, got.Rank[v], i)
+		if got.Rank(v) != i {
+			t.Fatalf("%s: rank of node %d is %d, want %d", what, v, got.Rank(v), i)
 		}
 	}
 }
@@ -234,6 +257,38 @@ func TestOrderMatchesReference(t *testing.T) {
 	}
 }
 
+// TestRankerReuseMatchesReference ranks random subsets of random cones
+// through one Ranker reused across graphs of growing and shrinking size,
+// and requires each result to equal the reference ranking.
+func TestRankerReuseMatchesReference(t *testing.T) {
+	var rk Ranker
+	for i, n := range []int{90, 20, 60, 12, 140} {
+		g := randomDAG(int64(100+i), n)
+		r := rand.New(rand.NewSource(int64(i)))
+		for root := cdfg.NodeID(0); int(root) < g.Len(); root++ {
+			levels, err := g.Levels(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub := []cdfg.NodeID{root}
+			for v, l := range levels {
+				if l > 0 && r.Intn(3) != 0 {
+					sub = append(sub, cdfg.NodeID(v))
+				}
+			}
+			c1 := make([]int, len(sub))
+			for j, v := range sub {
+				c1[j] = levels[v]
+			}
+			got, err := rk.Order(g, root, sub, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, fmt.Sprintf("graph %d root %d", i, root), got, referenceRank(t, g, sub, c1, min(12, len(sub))))
+		}
+	}
+}
+
 func TestGlobalMatchesReference(t *testing.T) {
 	graphs := []*cdfg.Graph{designs.EighthOrderCFIIR(), designs.FourthOrderParallelIIR(), designs.WaveletFilter()}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -255,4 +310,17 @@ func TestGlobalMatchesReference(t *testing.T) {
 		}
 		sameResult(t, fmt.Sprintf("global #%d", i), got, referenceRank(t, g, nodes, c1, min(8, len(nodes))))
 	}
+}
+
+func compareKeys(a, b []int) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		switch {
+		case a[i] > b[i]:
+			return 1
+		case a[i] < b[i]:
+			return -1
+		}
+	}
+	return 0
 }

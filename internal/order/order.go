@@ -20,7 +20,9 @@
 package order
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"localwm/internal/cdfg"
@@ -29,23 +31,67 @@ import (
 // Result is the outcome of ordering a node set.
 type Result struct {
 	// Ordered lists the nodes from greatest to least under the paper's ">"
-	// relation. Identifier i names Ordered[i].
+	// relation. Identifier i names Ordered[i]; Rank inverts it.
 	Ordered []cdfg.NodeID
-	// Rank maps each node to its identifier (index in Ordered).
-	Rank map[cdfg.NodeID]int
 	// Canonical reports whether C1–C3 alone separated every pair. When
 	// false, at least one tie was broken non-structurally, and a detector
 	// on a renumbered copy of the design may disagree on those positions.
 	Canonical bool
 	// MaxDepth is the largest D_x that was consulted.
 	MaxDepth int
+
+	byID []idRank // every ordered node with its rank, ascending by ID
+}
+
+type idRank struct {
+	id   cdfg.NodeID
+	rank int
+}
+
+// Rank returns v's identifier (its index in Ordered), or -1 when v was
+// not ordered.
+func (r *Result) Rank(v cdfg.NodeID) int {
+	i, ok := slices.BinarySearchFunc(r.byID, v, func(e idRank, v cdfg.NodeID) int { return int(e.id - v) })
+	if !ok {
+		return -1
+	}
+	return r.byID[i].rank
+}
+
+// Ranker holds the storage of canonical ordering — the cone levels, the
+// fan-in search marks, the sort keys and the result — and reuses it from
+// one call to the next, so ranking many roots of a graph allocates only
+// while the storage grows. A Result returned by a Ranker aliases that
+// storage and stays valid until the Ranker's next call. The zero value is
+// ready to use; a Ranker must not be shared between goroutines.
+type Ranker struct {
+	levels     cdfg.ConeLevels
+	fi         faninScratch
+	c1         []int
+	byC1       []uint64
+	perm       []int // positions into the ranked nodes, in rank order
+	k, phi     []int // the latest (K, φ) refinement, by position
+	runs, next []span
+	res        Result
 }
 
 // Order ranks the given subtree nodes of g with respect to root. The
 // subtree must contain root. maxDepth bounds the D_x search; a value of 0
 // means "up to the number of subtree nodes", which always suffices because
-// fan-in trees stop growing beyond that distance.
+// fan-in trees stop growing beyond that distance. The Result is the
+// caller's own; Ranker.Order is the same ranking in reused storage.
 func Order(g *cdfg.Graph, root cdfg.NodeID, subtree []cdfg.NodeID, maxDepth int) (*Result, error) {
+	res, err := new(Ranker).Order(g, root, subtree, maxDepth)
+	if err != nil {
+		return nil, err
+	}
+	// A copy, so the Result does not pin the Ranker's per-node arrays.
+	own := *res
+	return &own, nil
+}
+
+// Order is the package-level Order in the Ranker's storage.
+func (r *Ranker) Order(g *cdfg.Graph, root cdfg.NodeID, subtree []cdfg.NodeID, maxDepth int) (*Result, error) {
 	if len(subtree) == 0 {
 		return nil, fmt.Errorf("order: empty subtree")
 	}
@@ -59,62 +105,64 @@ func Order(g *cdfg.Graph, root cdfg.NodeID, subtree []cdfg.NodeID, maxDepth int)
 		maxDepth = min(12, len(subtree))
 	}
 
-	levels, err := g.Levels(root)
-	if err != nil {
+	if err := r.levels.Compute(g, root); err != nil {
 		return nil, err
 	}
-	c1 := make([]int, len(subtree))
-	for i, v := range subtree {
-		if levels[v] < 0 {
+	r.c1 = r.c1[:0]
+	for _, v := range subtree {
+		l := r.levels.Level(v)
+		if l < 0 {
 			return nil, fmt.Errorf("order: node %s is not in the fan-in cone of root %s",
 				g.Node(v).Name, g.Node(root).Name)
 		}
-		c1[i] = levels[v]
+		r.c1 = append(r.c1, l)
 	}
-	return rank(g, subtree, c1, maxDepth), nil
+	return r.rank(g, subtree, r.c1, maxDepth), nil
 }
 
 // rank orders nodes by the key vector (c1[i], K(1), φ(1), K(2), φ(2), …),
 // greatest first, then by operation kind (descending) and node ID
 // (ascending) where the structural keys tie.
 //
-// Refinement works on runs of equal keys in the sorted order: each round
-// extends the keys of tied nodes only and re-sorts each run in place. A
-// node whose key is already unique is never refined again, which changes
-// nothing — its position is decided by the prefix every other key differs
-// from it in — so the result equals sorting the fully refined key vectors,
-// while the fan-in work shrinks with every round.
-func rank(g *cdfg.Graph, nodes []cdfg.NodeID, c1 []int, maxDepth int) *Result {
+// Refinement works on runs of equal keys in the sorted order. Nodes of a
+// run agree on every key entry so far, so each round computes only the
+// next (K, φ) pair of the run's nodes, re-sorts the run by that pair
+// alone and splits it where the pair differs. A node whose key is already
+// unique is never refined again, which changes nothing — its position is
+// decided by the prefix every other key differs from it in — so the
+// result equals sorting the fully refined key vectors, while the fan-in
+// work shrinks with every round.
+func (r *Ranker) rank(g *cdfg.Graph, nodes []cdfg.NodeID, c1 []int, maxDepth int) *Result {
 	n := len(nodes)
-	// keys[i] is the comparison vector of nodes[i]; room for one round of
-	// refinement is reserved up front.
-	buf := make([]int, 3*n)
-	keys := make([][]int, n)
-	perm := make([]int, n)
-	for i := range nodes {
-		keys[i] = append(buf[3*i:3*i:3*i+3], c1[i])
-		perm[i] = i
+	r.perm = grow(r.perm, n)
+	r.k = grow(r.k, n)
+	r.phi = grow(r.phi, n)
+	perm, k, phi := r.perm, r.k, r.phi
+	// Sort by C1, greatest first, as plain integers: the high half of a
+	// key is the inverted level, the low half the position.
+	r.byC1 = grow(r.byC1, n)
+	for i, l := range c1 {
+		r.byC1[i] = uint64(math.MaxUint32-uint32(l))<<32 | uint64(i)
 	}
-	desc := func(a, b int) int { return compareKeys(keys[b], keys[a]) }
-	slices.SortFunc(perm, desc)
+	slices.Sort(r.byC1)
+	for i, key := range r.byC1 {
+		perm[i] = int(uint32(key))
+	}
+	r.runs = splitRuns(r.runs[:0], perm, 0, n, func(a, b int) bool { return c1[a] == c1[b] })
 
-	var fi faninScratch
+	// sameKey and byKey compare the latest refinement of two nodes of
+	// one run.
+	sameKey := func(a, b int) bool { return k[a] == k[b] && phi[a] == phi[b] }
+	byKey := func(a, b int) int {
+		if c := cmp.Compare(k[b], k[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(phi[b], phi[a])
+	}
 	canonical := false
 	depthUsed := 0
 	for dx := 1; ; dx++ {
-		tied := false
-		forEachRun(perm, keys, func(run []int) {
-			tied = true
-			if dx > maxDepth {
-				return
-			}
-			for _, p := range run {
-				k, phi := fi.stats(g, nodes[p], dx)
-				keys[p] = append(keys[p], k, phi)
-			}
-			slices.SortFunc(run, desc)
-		})
-		if !tied {
+		if len(r.runs) == 0 {
 			canonical = true
 			break
 		}
@@ -122,52 +170,79 @@ func rank(g *cdfg.Graph, nodes []cdfg.NodeID, c1 []int, maxDepth int) *Result {
 			break
 		}
 		depthUsed = dx
+		r.next = r.next[:0]
+		for _, run := range r.runs {
+			for _, p := range perm[run.lo:run.hi] {
+				k[p], phi[p] = r.fi.stats(g, nodes[p], dx)
+			}
+			slices.SortFunc(perm[run.lo:run.hi], byKey)
+			r.next = splitRuns(r.next, perm, run.lo, run.hi, sameKey)
+		}
+		r.runs, r.next = r.next, r.runs
 	}
-	if !canonical {
-		// Non-structural fallbacks, reported via Canonical=false.
-		forEachRun(perm, keys, func(run []int) {
-			slices.SortFunc(run, func(a, b int) int {
-				va, vb := nodes[a], nodes[b]
-				if oa, ob := g.Node(va).Op, g.Node(vb).Op; oa != ob {
-					return int(ob) - int(oa)
-				}
-				return int(va) - int(vb)
-			})
+	// Non-structural fallbacks for the runs still tied, reported via
+	// Canonical=false.
+	for _, run := range r.runs {
+		slices.SortFunc(perm[run.lo:run.hi], func(a, b int) int {
+			va, vb := nodes[a], nodes[b]
+			if oa, ob := g.Node(va).Op, g.Node(vb).Op; oa != ob {
+				return int(ob) - int(oa)
+			}
+			return int(va) - int(vb)
 		})
 	}
 
-	res := &Result{
-		Ordered:   make([]cdfg.NodeID, n),
-		Rank:      make(map[cdfg.NodeID]int, n),
-		Canonical: canonical,
-		MaxDepth:  depthUsed,
-	}
+	res := &r.res
+	res.Canonical, res.MaxDepth = canonical, depthUsed
+	res.Ordered = grow(res.Ordered, n)
+	res.byID = grow(res.byID, n)
 	for i, p := range perm {
 		res.Ordered[i] = nodes[p]
-		res.Rank[nodes[p]] = i
+		res.byID[p] = idRank{nodes[p], i}
+	}
+	// nodes usually arrive in ascending ID order already (domain trees,
+	// Computational), and then byID needs no sort.
+	if !slices.IsSortedFunc(res.byID, cmpID) {
+		slices.SortFunc(res.byID, cmpID)
 	}
 	return res
 }
 
-// forEachRun calls fn on every maximal run of two or more neighbours of
-// the sorted perm whose keys compare equal.
-func forEachRun(perm []int, keys [][]int, fn func(run []int)) {
-	for lo := 0; lo < len(perm); {
-		hi := lo + 1
-		for hi < len(perm) && compareKeys(keys[perm[lo]], keys[perm[hi]]) == 0 {
-			hi++
+// span is a run perm[lo:hi] of nodes whose keys tie.
+type span struct{ lo, hi int }
+
+// splitRuns appends to runs every maximal run of two or more neighbours
+// of perm[lo:hi] that same reports equal.
+func splitRuns(runs []span, perm []int, lo, hi int, same func(a, b int) bool) []span {
+	for lo < hi {
+		end := lo + 1
+		for end < hi && same(perm[lo], perm[end]) {
+			end++
 		}
-		if hi-lo > 1 {
-			fn(perm[lo:hi])
+		if end-lo > 1 {
+			runs = append(runs, span{lo, end})
 		}
-		lo = hi
+		lo = end
 	}
+	return runs
+}
+
+func cmpID(a, b idRank) int { return int(a.id - b.id) }
+
+// grow returns s resized to n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // faninScratch holds the reusable state of the fan-in kernel: a visited
 // stamp per graph node (a node is visited in the current search when its
-// stamp equals cur) and two frontier buffers. One scratch serves one
-// ranking, at most len(nodes)·maxDepth searches, so cur cannot wrap.
+// stamp equals cur) and two frontier buffers. A Ranker reuses one
+// scratch across rankings and graphs: the stamps grow with the graph and
+// are cleared when cur wraps.
 type faninScratch struct {
 	stamp          []uint32
 	cur            uint32
@@ -181,10 +256,14 @@ type faninScratch struct {
 // (g.FaninCount(v, x), g.FaninFunctionalitySum(v, x)) without building a
 // map per call.
 func (s *faninScratch) stats(g *cdfg.Graph, v cdfg.NodeID, x int) (k, phi int) {
-	if s.stamp == nil {
+	if len(s.stamp) < g.Len() {
 		s.stamp = make([]uint32, g.Len())
+		s.cur = 0
 	}
-	s.cur++
+	if s.cur++; s.cur == 0 {
+		clear(s.stamp)
+		s.cur = 1
+	}
 	s.stamp[v] = s.cur
 	phi = int(g.Node(v).Op)
 	s.frontier = append(s.frontier[:0], v)
@@ -203,17 +282,4 @@ func (s *faninScratch) stats(g *cdfg.Graph, v cdfg.NodeID, x int) (k, phi int) {
 		s.frontier, s.next = s.next, s.frontier
 	}
 	return k, phi
-}
-
-func compareKeys(a, b []int) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		switch {
-		case a[i] > b[i]:
-			return 1
-		case a[i] < b[i]:
-			return -1
-		}
-	}
-	return 0
 }

@@ -52,7 +52,7 @@ func TestOrderLevelsDominate(t *testing.T) {
 	}
 	// C1: deeper level sorts first. Levels w.r.t. root: in=4 (longest
 	// path via m1), m1=3, m2=2, a1=1, s1=1, root=0.
-	rank := func(name string) int { return res.Rank[g.MustNode(name)] }
+	rank := func(name string) int { return res.Rank(g.MustNode(name)) }
 	if rank("in") != 0 || rank("m1") != 1 || rank("m2") != 2 {
 		t.Fatalf("level ordering broken: in=%d m1=%d m2=%d", rank("in"), rank("m1"), rank("m2"))
 	}
@@ -71,7 +71,7 @@ func TestOrderTieBrokenByFanin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a1 and s1 are both level 1; a1 has the larger fan-in tree (C2).
-	if res.Rank[g.MustNode("a1")] > res.Rank[g.MustNode("s1")] {
+	if res.Rank(g.MustNode("a1")) > res.Rank(g.MustNode("s1")) {
 		t.Fatal("C2 should rank a1 before s1")
 	}
 }
@@ -89,7 +89,7 @@ func TestOrderRanksAreAPermutation(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, v := range res.Ordered {
-		r := res.Rank[v]
+		r := res.Rank(v)
 		if seen[r] {
 			t.Fatalf("duplicate rank %d", r)
 		}

@@ -62,6 +62,18 @@ func MustBitstream(sig Signature) *Bitstream {
 	return b
 }
 
+// CopyFrom sets b to src's exact state, so b continues src's stream from
+// where src stands without repeating the key schedule: a detector that
+// replays one keyed stream at many candidate roots keys it once. The
+// zero Bitstream is a valid b; b must not be src.
+func (b *Bitstream) CopyFrom(src *Bitstream) {
+	if b.c == nil {
+		b.c = new(RC4)
+	}
+	*b.c = *src.c
+	b.buf, b.nbits, b.emitted = src.buf, src.nbits, src.emitted
+}
+
 // Bit returns the next pseudo-random bit.
 func (b *Bitstream) Bit() bool {
 	if b.nbits == 0 {

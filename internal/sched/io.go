@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"localwm/internal/cdfg"
@@ -21,7 +22,10 @@ import (
 // Rows are emitted sorted by (step, name) so the output is deterministic
 // for a given schedule; Parse accepts the lines in any order. Nodes
 // absent from the file keep step 0 (the unscheduled kinds: inputs,
-// outputs, constants, delays).
+// outputs, constants, delays). Fields are separated by whitespace and
+// every <n> is a non-negative base-10 integer (digits only: no sign, no
+// base prefix, no digit separators, no trailing text); blank lines and
+// lines starting with '#' are skipped, and any other line is an error.
 
 // WriteSchedule serializes s against g in the text schedule format.
 func WriteSchedule(w io.Writer, g *cdfg.Graph, s *Schedule) error {
@@ -55,7 +59,7 @@ func WriteSchedule(w io.Writer, g *cdfg.Graph, s *Schedule) error {
 func ParseSchedule(g *cdfg.Graph, r io.Reader) (*Schedule, error) {
 	s := &Schedule{Steps: make([]int, g.Len())}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	sc.Buffer(nil, 1<<22)
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -63,19 +67,22 @@ func ParseSchedule(g *cdfg.Graph, r io.Reader) (*Schedule, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		var name string
-		var n int
-		if cnt, _ := fmt.Sscanf(line, "budget %d", &n); cnt == 1 {
-			s.Budget = n
-			continue
-		}
-		if cnt, _ := fmt.Sscanf(line, "step %s %d", &name, &n); cnt == 2 {
-			node, ok := g.NodeByName(name)
-			if !ok {
-				return nil, fmt.Errorf("sched: schedule line %d: unknown node %q", lineno, name)
+		fields := strings.Fields(line)
+		switch {
+		case len(fields) == 2 && fields[0] == "budget":
+			if n, ok := parseStep(fields[1]); ok {
+				s.Budget = n
+				continue
 			}
-			s.Steps[node.ID] = n
-			continue
+		case len(fields) == 3 && fields[0] == "step":
+			if n, ok := parseStep(fields[2]); ok {
+				node, found := g.NodeByName(fields[1])
+				if !found {
+					return nil, fmt.Errorf("sched: schedule line %d: unknown node %q", lineno, fields[1])
+				}
+				s.Steps[node.ID] = n
+				continue
+			}
 		}
 		return nil, fmt.Errorf("sched: schedule line %d: unparseable %q", lineno, line)
 	}
@@ -86,4 +93,15 @@ func ParseSchedule(g *cdfg.Graph, r io.Reader) (*Schedule, error) {
 		s.Budget = s.Makespan()
 	}
 	return s, nil
+}
+
+// parseStep parses a non-negative base-10 integer made of digits only.
+func parseStep(f string) (int, bool) {
+	for i := 0; i < len(f); i++ {
+		if f[i] < '0' || f[i] > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.Atoi(f)
+	return n, err == nil
 }

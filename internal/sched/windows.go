@@ -68,7 +68,8 @@ func ComputeWindows(g *cdfg.Graph, budget int, useTemporal bool) (*Windows, erro
 		ALAP:   make([]int, g.Len()),
 		Budget: budget,
 	}
-	for _, n := range g.Nodes() {
+	for v := cdfg.NodeID(0); int(v) < g.Len(); v++ {
+		n := g.Node(v)
 		if !n.Op.IsComputational() {
 			continue
 		}

@@ -2,6 +2,7 @@ package schedwm
 
 import (
 	"fmt"
+	"sync"
 
 	"localwm/internal/cdfg"
 	"localwm/internal/domain"
@@ -82,35 +83,83 @@ type Detection struct {
 // Pc · RootsTried is still negligible. Watermarks embedded with realistic
 // K make this discount irrelevant; adjudication of contested claims
 // should additionally use VerifyOwnership.
+//
+// Detect is NewScan(g, s).Detect(rec); checking several records against
+// one suspect should share the Scan.
 func Detect(g *cdfg.Graph, s *sched.Schedule, rec Record) (*Detection, error) {
-	if len(rec.RankEdges) == 0 {
-		return nil, fmt.Errorf("schedwm: record carries no constraints")
-	}
+	return NewScan(g, s).Detect(rec)
+}
+
+// Scan is the per-suspect half of detection: the lifetime windows of the
+// suspect schedule and the candidate roots grouped by fingerprint
+// (domain.RootIndex), each computed once however many records are
+// checked. A Scan only reads the suspect and is safe for concurrent use;
+// the graph and schedule must not change while it is in use.
+type Scan struct {
+	g     *cdfg.Graph
+	s     *sched.Schedule
+	w     *sched.Windows
+	roots *domain.RootIndex
+	err   error // why no record can be checked against this suspect
+}
+
+// NewScan prepares the detection scan of suspect (g, s). A suspect that
+// cannot be scanned — a schedule of the wrong size, an infeasible budget
+// — yields a Scan whose Detect reports that error for every record that
+// carries constraints.
+func NewScan(g *cdfg.Graph, s *sched.Schedule) *Scan {
+	sc := &Scan{g: g, s: s}
 	if len(s.Steps) != g.Len() {
-		return nil, fmt.Errorf("schedwm: schedule covers %d nodes, graph has %d", len(s.Steps), g.Len())
+		sc.err = fmt.Errorf("schedwm: schedule covers %d nodes, graph has %d", len(s.Steps), g.Len())
+		return sc
 	}
 	budget := s.Budget
 	if budget < s.Makespan() {
 		budget = s.Makespan()
 	}
-	w, err := sched.ComputeWindows(g, budget, false)
-	if err != nil {
-		return nil, err
+	if sc.w, sc.err = sched.ComputeWindows(g, budget, false); sc.err != nil {
+		return sc
 	}
+	sc.roots = domain.NewRootIndex(g)
+	return sc
+}
+
+// selectors recycles domain-selection storage across Detect calls, so a
+// record scan allocates it only when no earlier scan left one behind.
+var selectors = sync.Pool{New: func() any { return new(domain.Selector) }}
+
+// Detect checks one record against the suspect (see the package-level
+// Detect). It visits only the roots whose fingerprint matches the
+// record's, in ascending ID order, deriving each domain in storage reused
+// across those roots.
+func (sc *Scan) Detect(rec Record) (*Detection, error) {
+	if len(rec.RankEdges) == 0 {
+		return nil, fmt.Errorf("schedwm: record carries no constraints")
+	}
+	if sc.err != nil {
+		return nil, sc.err
+	}
+	g, s, w := sc.g, sc.s, sc.w
 
 	det := &Detection{}
 	haveBest := false
-	for _, root := range domain.Roots(g) {
-		if rec.RootFP != "" && domain.RootFingerprint(g, root) != rec.RootFP {
-			continue // cheap structural rejection
-		}
+	sel := selectors.Get().(*domain.Selector)
+	defer selectors.Put(sel)
+	// Every root replays the record's domain stream from its start; it is
+	// keyed at the first root only.
+	var keyed *prng.Bitstream
+	var ds prng.Bitstream
+	for _, root := range sc.roots.Candidates(rec.RootFP) {
 		det.RootsTried++
 
-		ds, err := domainStream(rec.Signature, rec.Index, rec.Try)
-		if err != nil {
-			return nil, err
+		if keyed == nil {
+			var err error
+			if keyed, err = domainStream(rec.Signature, rec.Index, rec.Try); err != nil {
+				return nil, err
+			}
 		}
-		d, err := domain.Select(g, ds, root, rec.DomainCfg)
+		ds.CopyFrom(keyed)
+		d, err := sel.Select(g, &ds, root, rec.DomainCfg)
 		if err != nil {
 			continue // this root cannot host the domain; not an input error
 		}

@@ -24,6 +24,7 @@ package schedwm
 
 import (
 	"fmt"
+	"slices"
 
 	"localwm/internal/cdfg"
 	"localwm/internal/domain"
@@ -419,8 +420,9 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 		return nil, fmt.Errorf("schedwm: |T'| = %d < τ' = %d at root %s",
 			len(tprime), cfg.TauPrime, g.Node(d.Root).Name)
 	}
-	// Canonical order for unambiguous bit consumption.
-	tprime = sortByRank(tprime, d.Order.Rank)
+	// Canonical order for unambiguous bit consumption (the ranks of T'
+	// are distinct, so any sort yields the same order).
+	slices.SortFunc(tprime, func(a, b cdfg.NodeID) int { return d.Order.Rank(a) - d.Order.Rank(b) })
 
 	// Step 5: pseudo-random ordering of T'. The protocol walks this
 	// ordered selection T'' and keeps drawing edges "until all K temporal
@@ -488,7 +490,7 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 		}
 		nk := cands[bs.Intn(len(cands))]
 		wm.Edges = append(wm.Edges, cdfg.Edge{From: ni, To: nk, Kind: cdfg.TemporalEdge})
-		wm.RankEdges = append(wm.RankEdges, [2]int{d.Order.Rank[ni], d.Order.Rank[nk]})
+		wm.RankEdges = append(wm.RankEdges, [2]int{d.Order.Rank(ni), d.Order.Rank(nk)})
 		// Raise the weighted paths so the no-stretch test sees the
 		// accumulated effect of the edges drawn so far.
 		paths.add(wm.Edges, ni, nk)
@@ -498,16 +500,6 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 			g.Node(d.Root).Name)
 	}
 	return wm, nil
-}
-
-func sortByRank(nodes []cdfg.NodeID, rank map[cdfg.NodeID]int) []cdfg.NodeID {
-	out := append([]cdfg.NodeID(nil), nodes...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && rank[out[j]] < rank[out[j-1]]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // ApproxPc estimates the solution-coincidence probability of the watermark

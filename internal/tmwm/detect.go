@@ -158,16 +158,14 @@ func VerifyOwnership(g *cdfg.Graph, lib *tmatch.Library, cover *tmatch.Cover,
 func detectDomainMode(g *cdfg.Graph, lib *tmatch.Library, rec Record,
 	check func(*order.Result) (*Detection, error)) (*Detection, error) {
 	best := &Detection{Total: len(rec.RankEnforced), Root: cdfg.None}
-	for _, root := range domain.Roots(g) {
-		if rec.RootFP != "" && domain.RootFingerprint(g, root) != rec.RootFP {
-			continue // cheap structural rejection
-		}
+	var sel domain.Selector
+	for _, root := range domain.NewRootIndex(g).Candidates(rec.RootFP) {
 		best.RootsTried++
 		ds, err := domainStream(rec.Signature, rec.Index, rec.Try)
 		if err != nil {
 			return nil, err
 		}
-		d, err := domain.Select(g, ds, root, rec.DomainCfg)
+		d, err := sel.Select(g, ds, root, rec.DomainCfg)
 		if err != nil {
 			continue
 		}

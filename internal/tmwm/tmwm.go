@@ -300,8 +300,8 @@ func encode(g *cdfg.Graph, bs *prng.Bitstream, cfg Config,
 
 		rm := RankMatching{Template: m.Template}
 		for _, v := range m.Nodes {
-			r, ok := ord.Rank[v]
-			if !ok {
+			r := ord.Rank(v)
+			if r < 0 {
 				return nil, fmt.Errorf("tmwm: internal: matched node %s outside ordering", g.Node(v).Name)
 			}
 			rm.Ranks = append(rm.Ranks, r)
